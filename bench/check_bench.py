@@ -13,8 +13,12 @@ worse than baseline by more than MARGIN (default 1.0 = 2x worse).
 Refresh a baseline by copying the BENCH artifact of a healthy CI run
 over the file in bench/baselines/.
 
-Direction comes from the file's "unit" field: *_per_sec is
-higher-is-better, ns_* is lower-is-better. Rows are matched by their
+Each metric has its own direction. A time suffix on the metric name
+(_us, _ns) means lower-is-better and a rate suffix (_per_sec)
+higher-is-better; a metric without either takes the file's "unit"
+(*_per_sec higher-is-better, ns_* and anything else lower-is-better).
+So the server file's srv_p99_us is a latency although the file's unit
+is records_per_sec. Rows are matched by their
 identity keys ("n" for the insert bench, mode+shards for the server
 bench). Rows present on only one side are reported but never fail the
 gate (new modes appear, old ones retire). The deliberate-overload
@@ -33,6 +37,15 @@ NON_PERF_METRICS = {"fsyncs", "busy_rejections", "rss_delta_kb",
                     "srv_ingest_count"}
 # Modes whose throughput is intentionally degenerate.
 SKIP_MODES = {"socket_overload"}
+
+
+def higher_is_better(name, unit):
+    """Direction of one metric: its own suffix first, then the unit."""
+    if name.endswith(("_us", "_ns")):
+        return False
+    if name.endswith("_per_sec"):
+        return True
+    return unit.endswith("_per_sec")
 
 
 def row_key(row):
@@ -63,13 +76,11 @@ def main():
         cur = json.load(f)
 
     unit = cur.get("unit", "")
-    higher_is_better = unit.endswith("_per_sec")
     base_rows = {row_key(r): r for r in base.get("rows", [])}
     cur_rows = {row_key(r): r for r in cur.get("rows", [])}
 
     failures = []
     print(f"perf gate: {cur.get('bench', '?')} ({unit}, "
-          f"{'higher' if higher_is_better else 'lower'} is better, "
           f"margin {args.margin:.0%})")
     for key, row in sorted(cur_rows.items()):
         label = " ".join(f"{k}={v}" for k, v in key)
@@ -85,13 +96,15 @@ def main():
                 continue
             ref = base_metrics[name]
             ratio = value / ref
-            if higher_is_better:
+            higher = higher_is_better(name, unit)
+            if higher:
                 bad = value < ref / (1.0 + args.margin)
             else:
                 bad = value > ref * (1.0 + args.margin)
             mark = "FAIL" if bad else "ok"
             print(f"  {mark:4}  {label} {name}: {value:.2f} "
-                  f"vs baseline {ref:.2f} ({ratio:.2f}x)")
+                  f"vs baseline {ref:.2f} ({ratio:.2f}x, "
+                  f"{'higher' if higher else 'lower'} is better)")
             if bad:
                 failures.append(f"{label} {name}")
     for key in sorted(base_rows.keys() - cur_rows.keys()):

@@ -30,16 +30,18 @@ bool IsIngestOp(Request::Op op) {
   return op == Request::Op::kIngest || op == Request::Op::kMerge;
 }
 
-WalRecord ToWalRecord(const Request& request) {
+/// Moves the series and payload out of `request` (only its op is read
+/// after staging, to label the response).
+WalRecord ToWalRecord(Request&& request) {
   WalRecord record;
-  record.series = request.series;
+  record.series = std::move(request.series);
   record.timestamp = request.timestamp;
   if (request.op == Request::Op::kIngest) {
     record.type = WalRecord::Type::kIngestValue;
     record.value = request.value;
   } else {
     record.type = WalRecord::Type::kIngestSketch;
-    record.payload = request.payload;
+    record.payload = std::move(request.payload);
   }
   return record;
 }
@@ -902,12 +904,13 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
   for (size_t i = 0; i < n; ++i) {
     PendingIngest& entry = run->entries[i];
     entry.run = run;
-    entry.record = ToWalRecord(run->requests[i]);
+    entry.record = ToWalRecord(std::move(run->requests[i]));
     // Validation reads only the store's immutable configuration
     // (prototype sketch parameters), so it runs lock-free on the loop
     // thread — a bad request is rejected here and never poisons or
-    // stalls a committer batch.
-    entry.result = store_->ValidateRecord(entry.record);
+    // stalls a committer batch. A MERGE payload is decoded here, once;
+    // the committer merges the decoded sketch.
+    entry.result = store_->ValidateRecord(entry.record, &entry.sketch);
     if (!entry.result.ok()) {
       entry.done = true;
       continue;
@@ -917,9 +920,15 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
     // (floor + borrowable pool share) is refused with BUSY — never
     // staged, never acknowledged — so one flooding tenant exhausts its
     // own budget while every other tag keeps its floor. The refusal
-    // carries the tag's refill-derived retry hint.
-    const uint64_t bytes = entry.record.series.size() +
-                           entry.record.payload.size() + kStagedRecordOverhead;
+    // carries the tag's refill-derived retry hint. A MERGE entry holds
+    // its decoded sketch until commit, and the client picks the store
+    // type and bucket bound, so a few payload bytes can decode into a
+    // wide dense store: the charge is the larger of the two.
+    const uint64_t held = std::max<uint64_t>(
+        entry.record.payload.size(),
+        entry.sketch ? entry.sketch->size_in_bytes() : 0);
+    const uint64_t bytes =
+        entry.record.series.size() + held + kStagedRecordOverhead;
     entry.tag_id = run->conn->tag_id;
     uint64_t hint_ms = 0;
     if (!ledger_->TryAdmit(entry.tag_id, bytes, &hint_ms)) {
@@ -1304,11 +1313,17 @@ void SketchServer::CommitOneBatch(size_t shard_index,
   uint64_t offset = 0;
   uint64_t epoch = 0;
   if (status.ok()) {
+    // Moved, not copied: an entry's record and sketch are not read
+    // again once its batch is handed to the store.
     std::vector<WalRecord> records;
+    std::vector<DDSketch> sketches;
     records.reserve(batch.size());
-    for (PendingIngest* pending : batch) records.push_back(pending->record);
+    for (PendingIngest* pending : batch) {
+      records.push_back(std::move(pending->record));
+      if (pending->sketch) sketches.push_back(std::move(*pending->sketch));
+    }
     std::lock_guard<std::mutex> store_lk(shard.store_mu);
-    status = store_->shard(shard_index).IngestBatch(records);
+    status = store_->shard(shard_index).IngestBatch(records, sketches);
     offset = store_->shard(shard_index).wal_offset();
     epoch = store_->shard(shard_index).epoch();
   }

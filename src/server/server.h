@@ -78,6 +78,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/ddsketch.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/replication.h"
@@ -246,7 +247,10 @@ class SketchServer {
   /// its run's entries array (address-stable once staged); the shard
   /// queue holds pointers.
   struct PendingIngest {
-    WalRecord record;
+    WalRecord record;  // moved into the commit batch
+    /// A MERGE payload decoded at validation, merged by the committer
+    /// as is (never decoded twice); empty for an INGEST value.
+    std::optional<DDSketch> sketch;
     Status result;
     uint64_t wal_offset = 0;
     uint64_t bytes = 0;  // admission-budget charge; 0 = never admitted

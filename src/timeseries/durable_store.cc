@@ -236,12 +236,15 @@ Status DurableSketchStore::IngestValue(const std::string& series,
   return store_.IngestValue(series, timestamp, value);
 }
 
-Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
+Status DurableSketchStore::ValidateRecord(
+    const WalRecord& record, std::optional<DDSketch>* decoded) const {
   switch (record.type) {
     case WalRecord::Type::kIngestSketch: {
-      auto decoded = DDSketch::Deserialize(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      return store_.CheckCompatible(decoded.value());
+      auto sketch = DDSketch::Deserialize(record.payload);
+      if (!sketch.ok()) return sketch.status();
+      DD_RETURN_IF_ERROR(store_.CheckCompatible(sketch.value()));
+      if (decoded != nullptr) decoded->emplace(std::move(sketch).value());
+      return Status::OK();
     }
     case WalRecord::Type::kIngestValue:
       return Status::OK();
@@ -249,47 +252,63 @@ Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
   return Status::Corruption("unknown WAL record type");
 }
 
-Status DurableSketchStore::IngestBatch(const std::vector<WalRecord>& records) {
+Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records) {
   DD_RETURN_IF_ERROR(CheckWritable());
-  // Validate everything before logging anything: the WAL must only ever
+  std::vector<DDSketch> sketches;
+  std::optional<DDSketch> sketch;
+  for (const WalRecord& record : records) {
+    DD_RETURN_IF_ERROR(ValidateRecord(record, &sketch));
+    if (sketch) {
+      sketches.push_back(std::move(*sketch));
+      sketch.reset();
+    }
+  }
+  return IngestBatch(records, sketches);
+}
+
+Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records,
+                                       std::span<const DDSketch> sketches) {
+  DD_RETURN_IF_ERROR(CheckWritable());
+  // Check everything before logging anything: the WAL must only ever
   // contain records that replay cleanly, and a half-appended batch would
-  // ack nothing while still replaying its durable prefix. Sketch
-  // payloads are decoded once here and the decoded sketches reused for
-  // the merge below — deserialization is the expensive part of a merge
-  // record, and this path is the committer's (single-writer) hot loop.
-  std::vector<DDSketch> decoded;
-  decoded.reserve(records.size());
+  // ack nothing while still replaying its durable prefix. The payloads
+  // were decoded once, at validation; what is left is a parameter
+  // comparison per sketch and the pairing of sketches with records.
+  size_t sketch_records = 0;
   for (const WalRecord& record : records) {
     switch (record.type) {
-      case WalRecord::Type::kIngestSketch: {
-        auto sketch = DDSketch::Deserialize(record.payload);
-        if (!sketch.ok()) return sketch.status();
-        DD_RETURN_IF_ERROR(store_.CheckCompatible(sketch.value()));
-        decoded.push_back(std::move(sketch).value());
+      case WalRecord::Type::kIngestSketch:
+        if (sketch_records < sketches.size()) {
+          DD_RETURN_IF_ERROR(
+              store_.CheckCompatible(sketches[sketch_records]));
+        }
+        ++sketch_records;
         break;
-      }
       case WalRecord::Type::kIngestValue:
         break;
       default:
         return Status::Corruption("unknown WAL record type");
     }
   }
-  const uint64_t batch_start = wal_.offset();
-  Status status;
-  for (const WalRecord& record : records) {
-    status = wal_.Append(record);
-    if (!status.ok()) break;
+  if (sketch_records != sketches.size()) {
+    return Status::InvalidArgument(
+        "group commit got " + std::to_string(sketches.size()) +
+        " decoded sketches for " + std::to_string(sketch_records) +
+        " sketch records");
   }
+  const uint64_t batch_start = wal_.offset();
+  Status status = wal_.Append(records);  // the one write the batch shares
   if (status.ok()) {
     status = wal_.Sync();  // the one flush the batch shares
   }
   if (!status.ok()) {
-    // A partial append (e.g. ENOSPC mid-record) leaves a torn frame in
-    // the middle of the log; anything appended after it would be
-    // silently dropped by recovery's torn-tail scan. Truncate back to
-    // the batch start so the log stays clean for future commits; if
-    // even that fails, escalate — the log must not be appended to
-    // again (SketchServer fail-stops its ingest path on any error).
+    // A failed or short write leaves a torn frame somewhere in the
+    // batch's bytes, and after a failed fsync the batch's durability is
+    // unknown; anything appended after it would be silently dropped by
+    // recovery's torn-tail scan. Truncate back to the batch start so
+    // the log stays clean for future commits; if even that fails,
+    // escalate — the log must not be appended to again (SketchServer
+    // fail-stops its ingest path on any error).
     if (Status repair = wal_.TruncateTo(batch_start); !repair.ok()) {
       return Status::Internal(
           "WAL left torn after failed batch commit (" + status.ToString() +
@@ -306,12 +325,12 @@ Status DurableSketchStore::IngestBatch(const std::vector<WalRecord>& records) {
   // are order-independent anyway, but the WAL replay path applies the
   // same sequence).
   std::vector<double> run_values;
-  size_t next_decoded = 0;
+  size_t next_sketch = 0;
   for (size_t i = 0; i < records.size();) {
     const WalRecord& record = records[i];
     if (record.type == WalRecord::Type::kIngestSketch) {
       DD_RETURN_IF_ERROR(store_.IngestSketch(record.series, record.timestamp,
-                                             decoded[next_decoded++]));
+                                             sketches[next_sketch++]));
       ++i;
       continue;
     }

@@ -34,10 +34,13 @@
 #define DDSKETCH_TIMESERIES_DURABLE_STORE_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/ddsketch.h"
 #include "timeseries/sketch_store.h"
 #include "timeseries/wal.h"
 #include "util/status.h"
@@ -87,27 +90,45 @@ class DurableSketchStore {
   Status IngestValue(const std::string& series, int64_t timestamp,
                      double value);
 
-  /// Validates an ingest record — decodes sketch payloads and checks
-  /// sketch-parameter compatibility — without touching the log or the
-  /// store. The staging half of group commit: callers (the network
-  /// server) reject bad requests on their own threads so an invalid
-  /// record can never poison a batch.
-  Status ValidateRecord(const WalRecord& record) const;
+  /// Validates an ingest record without touching the log or the store:
+  /// decodes a sketch payload and checks sketch-parameter compatibility.
+  /// The staging half of group commit — callers (the network server)
+  /// reject bad requests on their own threads so an invalid record can
+  /// never poison a batch — and the one place a payload is decoded: a
+  /// sketch record's sketch is handed back in `*decoded` (left untouched
+  /// for a value record; pass null to discard it) for the pre-decoded
+  /// IngestBatch to merge.
+  Status ValidateRecord(const WalRecord& record,
+                        std::optional<DDSketch>* decoded) const;
+  Status ValidateRecord(const WalRecord& record) const {
+    return ValidateRecord(record, nullptr);
+  }
 
-  /// Group commit: appends every record to the WAL, fsyncs ONCE, then
-  /// merges all of them into the in-memory store — N acknowledged
-  /// ingests for a single disk flush. All records are re-validated
-  /// before the first byte reaches the log, so a bad record fails the
-  /// whole batch with nothing written. Unlike Ingest/IngestValue, the
-  /// batch always fsyncs (ignoring sync_every_ingest): callers use this
-  /// to acknowledge remote clients, and an acknowledgment promises
-  /// power-loss durability. An OK return means every record in the
-  /// batch replays on the next Open(). On an append/fsync failure the
-  /// log is truncated back to the batch start (nothing from the batch
-  /// replays); if even that repair fails the log is torn mid-file and
-  /// the error says so — callers must stop appending (a torn frame
-  /// would make recovery silently drop everything after it).
-  Status IngestBatch(const std::vector<WalRecord>& records);
+  /// Group commit: encodes every record into one buffer, writes it with
+  /// ONE write() and fsyncs ONCE, then merges all of them into the
+  /// in-memory store — N acknowledged ingests for a single disk flush.
+  /// `sketches` are the records' payloads already decoded by
+  /// ValidateRecord, one per kIngestSketch record in record order; they
+  /// must decode from those payloads, since the log keeps the payload
+  /// and the store merges the sketch. Before the first byte reaches the
+  /// log, each sketch is re-checked for compatibility (a parameter
+  /// comparison) and the sketch count must match the sketch records, so
+  /// a bad batch fails whole with nothing written. Unlike
+  /// Ingest/IngestValue, the batch always fsyncs (ignoring
+  /// sync_every_ingest): callers use this to acknowledge remote clients,
+  /// and an acknowledgment promises power-loss durability. An OK return
+  /// means every record in the batch replays on the next Open(). On a
+  /// write/fsync failure — including a short write that left part of
+  /// the batch in the file — the log is truncated back to the batch
+  /// start (nothing from the batch replays); if even that repair fails
+  /// the log is torn mid-file and the error says so — callers must stop
+  /// appending (a torn frame would make recovery silently drop
+  /// everything after it).
+  Status IngestBatch(std::span<const WalRecord> records,
+                     std::span<const DDSketch> sketches);
+  /// Group commit of undecoded records: decodes and validates every
+  /// sketch payload (ValidateRecord), then the pre-decoded form.
+  Status IngestBatch(std::span<const WalRecord> records);
 
   /// Explicitly ages the ladder (SketchStore::Compact, with `now`
   /// clamped to the data horizon), then checkpoints. Returns the number

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,9 +94,11 @@ class ShardedDurableStore {
   }
 
   /// Validation reads only the (identical across shards) immutable store
-  /// configuration; safe from any thread.
-  Status ValidateRecord(const WalRecord& record) const {
-    return shards_[0]->ValidateRecord(record);
+  /// configuration; safe from any thread. `*decoded` receives a sketch
+  /// record's decoded payload (DurableSketchStore::ValidateRecord).
+  Status ValidateRecord(const WalRecord& record,
+                        std::optional<DDSketch>* decoded) const {
+    return shards_[0]->ValidateRecord(record, decoded);
   }
 
   // Reads route to the owning shard: a series lives on exactly one

@@ -77,25 +77,47 @@ Status CheckEpochRange(uint64_t epoch) {
   }
   return Status::OK();
 }
+
+size_t VarintLength(uint64_t value) {
+  size_t n = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++n;
+  }
+  return n;
+}
 }  // namespace
 
-std::string EncodeWalRecord(const WalRecord& record) {
-  std::string body;
-  body.push_back(static_cast<char>(record.type));
-  PutVarint64(&body, record.series.size());
-  body.append(record.series);
-  PutVarintSigned64(&body, record.timestamp);
-  if (record.type == WalRecord::Type::kIngestSketch) {
-    PutVarint64(&body, record.payload.size());
-    body.append(record.payload);
+void AppendWalRecord(const WalRecord& record, std::string* out) {
+  const bool sketch = record.type == WalRecord::Type::kIngestSketch;
+  const uint64_t body_len =
+      1 + VarintLength(record.series.size()) + record.series.size() +
+      VarintLength(ZigZagEncode(record.timestamp)) +
+      (sketch ? VarintLength(record.payload.size()) + record.payload.size()
+              : sizeof(double));
+  PutVarint64(out, body_len);
+  const size_t crc_at = out->size();
+  out->append(sizeof(uint32_t), '\0');  // the body's CRC, filled in below
+  const size_t body_at = out->size();
+  out->push_back(static_cast<char>(record.type));
+  PutVarint64(out, record.series.size());
+  out->append(record.series);
+  PutVarintSigned64(out, record.timestamp);
+  if (sketch) {
+    PutVarint64(out, record.payload.size());
+    out->append(record.payload);
   } else {
-    PutFixedDouble(&body, record.value);
+    PutFixedDouble(out, record.value);
   }
+  const uint32_t crc = Crc32c(std::string_view(*out).substr(body_at));
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    (*out)[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+}
+
+std::string EncodeWalRecord(const WalRecord& record) {
   std::string framed;
-  framed.reserve(body.size() + kMaxVarintBytes + sizeof(uint32_t));
-  PutVarint64(&framed, body.size());
-  PutFixed32(&framed, Crc32c(body));
-  framed.append(body);
+  AppendWalRecord(record, &framed);
   return framed;
 }
 
@@ -251,8 +273,15 @@ Result<WalWriter> WalWriter::OpenExisting(const std::string& path,
   return writer;
 }
 
-Status WalWriter::Append(const WalRecord& record) {
-  return file_.Append(EncodeWalRecord(record));
+Status WalWriter::Append(std::span<const WalRecord> records) {
+  // A batch is typically a few KB to a few hundred KB; one huge batch
+  // must not pin its buffer for the life of the log.
+  constexpr size_t kMaxRetainedBuffer = size_t{4} << 20;
+  buffer_.clear();
+  for (const WalRecord& record : records) AppendWalRecord(record, &buffer_);
+  const Status status = AppendRaw(buffer_);
+  if (buffer_.capacity() > kMaxRetainedBuffer) std::string().swap(buffer_);
+  return status;
 }
 
 Status WalWriter::AppendRaw(std::string_view framed_records) {

@@ -35,6 +35,7 @@
 #define DDSKETCH_TIMESERIES_WAL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,7 +68,13 @@ struct WalRecord {
 /// stores epochs as fixed32; WalWriter rejects larger values).
 std::string EncodeWalHeader(uint32_t epoch);
 
-/// Encodes one framed record (len + crc + body).
+/// Appends one framed record (len + crc + body) to `*out`, encoding the
+/// body in place with no per-record temporaries. Group commit encodes a
+/// whole batch into one buffer this way.
+void AppendWalRecord(const WalRecord& record, std::string* out);
+
+/// Encodes one framed record (len + crc + body) — AppendWalRecord into
+/// a fresh string.
 std::string EncodeWalRecord(const WalRecord& record);
 
 /// Outcome of scanning a whole log image.
@@ -115,8 +122,8 @@ size_t CompleteFramePrefix(std::string_view bytes,
                            uint64_t* split_frame_size);
 
 /// Appends framed records to a log file. Creation writes the header
-/// durably; each Append pushes the record to the OS (process-crash safe)
-/// and Sync() makes it power-loss safe.
+/// durably; each Append pushes its records to the OS (process-crash
+/// safe) and Sync() makes them power-loss safe.
 class WalWriter {
  public:
   /// Creates or truncates `path` as an empty epoch-`epoch` log.
@@ -127,7 +134,13 @@ class WalWriter {
   static Result<WalWriter> OpenExisting(const std::string& path,
                                         uint64_t epoch, uint64_t size);
 
-  Status Append(const WalRecord& record);
+  /// Encodes `records` into one reused buffer and appends it with a
+  /// single write. On failure the log may end in a torn prefix of the
+  /// buffer (a short write); the caller repairs it with TruncateTo.
+  Status Append(std::span<const WalRecord> records);
+  Status Append(const WalRecord& record) {
+    return Append(std::span<const WalRecord>(&record, 1));
+  }
 
   /// Appends already-framed record bytes verbatim (a replicated WAL
   /// segment). The caller must have validated them with DecodeWalSegment
@@ -158,6 +171,7 @@ class WalWriter {
 
   AppendOnlyFile file_;
   uint64_t epoch_;
+  std::string buffer_;  // Append's encode buffer, reused across batches
 };
 
 }  // namespace dd

@@ -1,8 +1,11 @@
 #include "util/file_io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
+#include <optional>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -14,11 +17,41 @@ namespace dd {
 namespace {
 
 std::atomic<uint64_t> g_fsync_count{0};
+std::atomic<uint64_t> g_write_count{0};
+
+/// Injected faults, one slot per IoPoint. `g_any_fault` keeps the
+/// unarmed path (every production call) to one relaxed load.
+struct FaultSlot {
+  bool armed = false;
+  IoFault fault;
+  uint64_t calls = 0;  // calls at this point since arming
+};
+std::mutex g_fault_mu;
+FaultSlot g_faults[static_cast<size_t>(IoPoint::kTruncate) + 1];
+std::atomic<bool> g_any_fault{false};
+
+/// Counts one call at `point` against its armed fault and returns the
+/// fault when this call is the one that must fail (disarming it).
+std::optional<IoFault> TakeFault(IoPoint point) {
+  if (!g_any_fault.load(std::memory_order_relaxed)) return std::nullopt;
+  std::lock_guard<std::mutex> lk(g_fault_mu);
+  FaultSlot& slot = g_faults[static_cast<size_t>(point)];
+  if (!slot.armed || ++slot.calls < slot.fault.nth) return std::nullopt;
+  slot.armed = false;
+  g_any_fault.store(std::any_of(std::begin(g_faults), std::end(g_faults),
+                                [](const FaultSlot& f) { return f.armed; }),
+                    std::memory_order_relaxed);
+  return slot.fault;
+}
 
 /// Every fsync in this file goes through here so TotalFsyncCount() stays
 /// an exact flush census.
 int CountedFsync(int fd) {
   g_fsync_count.fetch_add(1, std::memory_order_relaxed);
+  if (const auto fault = TakeFault(IoPoint::kFsync)) {
+    errno = fault->error;
+    return -1;
+  }
   return ::fsync(fd);
 }
 
@@ -41,6 +74,13 @@ Status SyncParentDir(const std::string& path) {
 
 Status WriteAll(int fd, std::string_view data, const std::string& path) {
   while (!data.empty()) {
+    g_write_count.fetch_add(1, std::memory_order_relaxed);
+    if (const auto fault = TakeFault(IoPoint::kWrite)) {
+      const size_t partial = std::min(fault->short_write_bytes, data.size());
+      if (partial > 0) (void)!::write(fd, data.data(), partial);
+      errno = fault->error;
+      return Status::Internal(Errno("write", path));
+    }
     const ssize_t n = ::write(fd, data.data(), data.size());
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -55,6 +95,22 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
 
 uint64_t TotalFsyncCount() {
   return g_fsync_count.load(std::memory_order_relaxed);
+}
+
+uint64_t TotalWriteCount() {
+  return g_write_count.load(std::memory_order_relaxed);
+}
+
+void InjectIoFault(const IoFault& fault) {
+  std::lock_guard<std::mutex> lk(g_fault_mu);
+  g_faults[static_cast<size_t>(fault.point)] = {true, fault, 0};
+  g_any_fault.store(true, std::memory_order_relaxed);
+}
+
+void ClearIoFaults() {
+  std::lock_guard<std::mutex> lk(g_fault_mu);
+  for (FaultSlot& slot : g_faults) slot = FaultSlot{};
+  g_any_fault.store(false, std::memory_order_relaxed);
 }
 
 bool FileExists(const std::string& path) {
@@ -232,7 +288,9 @@ Status AppendOnlyFile::Sync() {
 }
 
 Status AppendOnlyFile::Truncate(uint64_t size) {
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+  const auto fault = TakeFault(IoPoint::kTruncate);
+  if (fault) errno = fault->error;
+  if (fault || ::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     return Status::Internal(Errno("ftruncate", path_));
   }
   size_ = size;

@@ -11,6 +11,7 @@
 #ifndef DDSKETCH_UTIL_FILE_IO_H_
 #define DDSKETCH_UTIL_FILE_IO_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -24,6 +25,36 @@ namespace dd {
 /// thread-safe. Lets tests assert batching behavior (group commit must
 /// turn N record flushes into one) and tools report flush rates.
 uint64_t TotalFsyncCount();
+
+/// Process-wide count of write(2) calls issued through this layer
+/// (AppendOnlyFile::Append, WriteFileAtomic), one per syscall, so a
+/// short write that needs a second call counts twice. Monotonic and
+/// thread-safe; group commit must issue one per batch.
+uint64_t TotalWriteCount();
+
+/// The syscall choke points of this layer that a test can make fail.
+enum class IoPoint {
+  kWrite,     ///< each write(2) of AppendOnlyFile::Append / WriteFileAtomic
+  kFsync,     ///< each fsync(2), including directory and lock-file syncs
+  kTruncate,  ///< AppendOnlyFile::Truncate's ftruncate(2); keep last
+};
+
+/// A one-shot injected failure (test-only: nothing outside tests arms
+/// one). The `nth` call at `point` after arming fails with `error`; a
+/// kWrite fault first writes `short_write_bytes` of its buffer for real
+/// (a short write, then the failure), modelling ENOSPC mid-buffer.
+struct IoFault {
+  IoPoint point = IoPoint::kWrite;
+  uint64_t nth = 1;
+  int error = EIO;
+  size_t short_write_bytes = 0;
+};
+
+/// Arms `fault`, replacing any fault armed at the same point. Thread-safe.
+void InjectIoFault(const IoFault& fault);
+
+/// Disarms every injected fault.
+void ClearIoFaults();
 
 /// True iff `path` names an existing file system entry.
 bool FileExists(const std::string& path);

@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -602,6 +604,237 @@ TEST_F(DurabilityTest, GroupCommitCrashMidBatchRecoversExactPrefix) {
     EXPECT_EQ(Fingerprint(reopened.value().store()), prefix_fp[expected])
         << "cut=" << cut;
   }
+}
+
+/// Group-commit I/O behaviour and its error paths, driven through the
+/// util/file_io fault hook. Every test disarms the hook on exit.
+class GroupCommitIoTest : public DurabilityTest {
+ protected:
+  void TearDown() override {
+    ClearIoFaults();
+    DurabilityTest::TearDown();
+  }
+
+  /// The mixed value/sketch records for `ops`, as a group commit logs
+  /// them.
+  static std::vector<WalRecord> BatchRecords(const std::vector<Op>& ops) {
+    std::vector<WalRecord> records;
+    for (const Op& op : ops) {
+      WalRecord record;
+      record.series = op.series;
+      record.timestamp = op.timestamp;
+      if (op.is_sketch) {
+        record.type = WalRecord::Type::kIngestSketch;
+        record.payload = WorkerPayload(op.seed);
+      } else {
+        record.type = WalRecord::Type::kIngestValue;
+        record.value = op.value;
+      }
+      records.push_back(std::move(record));
+    }
+    return records;
+  }
+
+  /// Applies `records` one by one to `ref`, as recovery replays them.
+  static void ApplyToReference(const std::vector<WalRecord>& records,
+                               SketchStore* ref) {
+    for (const WalRecord& record : records) {
+      if (record.type == WalRecord::Type::kIngestSketch) {
+        ASSERT_TRUE(
+            ref->Ingest(record.series, record.timestamp, record.payload).ok());
+      } else {
+        ASSERT_TRUE(
+            ref->IngestValue(record.series, record.timestamp, record.value)
+                .ok());
+      }
+    }
+  }
+
+  /// Three disjoint mixed batches of 16 records.
+  static std::vector<std::vector<WalRecord>> ThreeBatches() {
+    const std::vector<Op> ops = ScriptedOps(48);
+    std::vector<std::vector<WalRecord>> batches;
+    for (size_t b = 0; b < 3; ++b) {
+      batches.push_back(BatchRecords(
+          std::vector<Op>(ops.begin() + 16 * b, ops.begin() + 16 * (b + 1))));
+    }
+    return batches;
+  }
+
+  static uint64_t EncodedSize(const std::vector<WalRecord>& records) {
+    std::string bytes;
+    for (const WalRecord& record : records) AppendWalRecord(record, &bytes);
+    return bytes.size();
+  }
+
+  /// Commits batch 0, fails batch 1 with `fault` armed, checks that the
+  /// log is back at the batch start, commits batch 2, and checks that a
+  /// reopen replays exactly batches 0 and 2.
+  void ExpectFailedBatchIsRepaired(const std::string& dir, IoFault fault) {
+    const auto batches = ThreeBatches();
+    auto ref = std::move(SketchStore::Create(Options().store)).value();
+    {
+      DurableSketchStore store = MustOpen(dir);
+      ASSERT_TRUE(store.IngestBatch(batches[0]).ok());
+      ApplyToReference(batches[0], &ref);
+      const uint64_t batch_start = store.wal_offset();
+      const std::string before = Fingerprint(store.store());
+
+      InjectIoFault(fault);
+      const Status failed = store.IngestBatch(batches[1]);
+      EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+      EXPECT_EQ(failed.message().find("WAL left torn"), std::string::npos)
+          << failed.ToString();
+      // Truncated back to the batch start, in memory and on disk, and
+      // nothing from the batch was merged.
+      EXPECT_EQ(store.wal_offset(), batch_start);
+      EXPECT_EQ(fs::file_size(DurableSketchStore::WalPath(dir)), batch_start);
+      EXPECT_EQ(Fingerprint(store.store()), before);
+
+      // The repaired log takes the next batch cleanly.
+      ASSERT_TRUE(store.IngestBatch(batches[2]).ok());
+      ApplyToReference(batches[2], &ref);
+    }
+    DurableSketchStore reopened = MustOpen(dir);
+    EXPECT_EQ(Fingerprint(reopened.store()), Fingerprint(ref));
+  }
+};
+
+TEST_F(GroupCommitIoTest, BatchIsOneWriteAndOneFsync) {
+  DurableSketchStore store = MustOpen(Dir("onewrite"));
+  const std::vector<WalRecord> records = BatchRecords(ScriptedOps(64));
+  const uint64_t writes_before = TotalWriteCount();
+  const uint64_t fsyncs_before = TotalFsyncCount();
+  ASSERT_TRUE(store.IngestBatch(records).ok());
+  EXPECT_EQ(TotalWriteCount() - writes_before, 1u);
+  EXPECT_EQ(TotalFsyncCount() - fsyncs_before, 1u);
+}
+
+TEST_F(GroupCommitIoTest, LogBytesAreTheConcatenatedRecordEncodings) {
+  // The coalesced write must not change the log format: recovery,
+  // replication's DecodeWalSegment and the golden fixtures all read
+  // exactly what per-record EncodeWalRecord produced.
+  const std::string dir = Dir("format");
+  const std::vector<WalRecord> records = BatchRecords(ScriptedOps(40));
+  uint64_t batch_start = 0;
+  {
+    DurableSketchStore store = MustOpen(dir);
+    batch_start = store.wal_offset();
+    ASSERT_TRUE(store.IngestBatch(records).ok());
+  }
+  std::string expected;
+  for (const WalRecord& record : records) expected += EncodeWalRecord(record);
+  EXPECT_EQ(ReadFile(DurableSketchStore::WalPath(dir)).substr(batch_start),
+            expected);
+}
+
+TEST_F(GroupCommitIoTest, PreDecodedBatchMatchesReplay) {
+  const std::string dir = Dir("predecoded");
+  const std::vector<WalRecord> records = BatchRecords(ScriptedOps(24));
+  auto ref = std::move(SketchStore::Create(Options().store)).value();
+  ApplyToReference(records, &ref);
+  {
+    DurableSketchStore store = MustOpen(dir);
+    std::vector<DDSketch> sketches;
+    for (const WalRecord& record : records) {
+      std::optional<DDSketch> sketch;
+      ASSERT_TRUE(store.ValidateRecord(record, &sketch).ok());
+      EXPECT_EQ(sketch.has_value(),
+                record.type == WalRecord::Type::kIngestSketch);
+      if (sketch) sketches.push_back(std::move(*sketch));
+    }
+    ASSERT_TRUE(store.IngestBatch(records, sketches).ok());
+  }
+  EXPECT_EQ(Fingerprint(MustOpen(dir).store()), Fingerprint(ref));
+}
+
+TEST_F(GroupCommitIoTest, PreDecodedBatchRejectsMismatchWithNothingLogged) {
+  DurableSketchStore store = MustOpen(Dir("mismatch"));
+  // Eight records, two of them sketches.
+  const std::vector<WalRecord> records = BatchRecords(ScriptedOps(8));
+  std::vector<DDSketch> sketches;
+  for (const WalRecord& record : records) {
+    if (record.type == WalRecord::Type::kIngestSketch) {
+      sketches.push_back(
+          std::move(DDSketch::Deserialize(record.payload)).value());
+    }
+  }
+  ASSERT_EQ(sketches.size(), 2u);
+  const uint64_t offset = store.wal_offset();
+
+  // One sketch short, and one too many.
+  EXPECT_EQ(store.IngestBatch(records, std::span(sketches).first(1)).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<DDSketch> extra = sketches;
+  extra.push_back(sketches.front());
+  EXPECT_EQ(store.IngestBatch(records, extra).code(),
+            StatusCode::kInvalidArgument);
+
+  // A sketch with other parameters than the store's.
+  auto wrong = std::move(DDSketch::Create(0.05)).value();
+  wrong.Add(1.0);
+  std::vector<DDSketch> incompatible = sketches;
+  incompatible.back() = wrong;
+  EXPECT_EQ(store.IngestBatch(records, incompatible).code(),
+            StatusCode::kIncompatible);
+
+  EXPECT_EQ(store.wal_offset(), offset);
+  EXPECT_EQ(store.store().num_series(), 0u);
+}
+
+TEST_F(GroupCommitIoTest, MidBufferWriteFailureTruncatesToBatchStart) {
+  IoFault fault;
+  fault.point = IoPoint::kWrite;
+  fault.error = ENOSPC;
+  fault.short_write_bytes = EncodedSize(ThreeBatches()[1]) / 2;
+  ExpectFailedBatchIsRepaired(Dir("shortwrite"), fault);
+}
+
+TEST_F(GroupCommitIoTest, FsyncFailureTruncatesToBatchStart) {
+  IoFault fault;
+  fault.point = IoPoint::kFsync;
+  fault.error = EIO;
+  ExpectFailedBatchIsRepaired(Dir("fsyncfail"), fault);
+}
+
+TEST_F(GroupCommitIoTest, FailedTruncateReportsATornLog) {
+  const std::string dir = Dir("torn");
+  const auto batches = ThreeBatches();
+  const uint64_t partial = EncodedSize(batches[1]) / 2;
+  auto ref = std::move(SketchStore::Create(Options().store)).value();
+  ApplyToReference(batches[0], &ref);
+  {
+    DurableSketchStore store = MustOpen(dir);
+    ASSERT_TRUE(store.IngestBatch(batches[0]).ok());
+    const uint64_t batch_start = store.wal_offset();
+    IoFault write_fault;
+    write_fault.point = IoPoint::kWrite;
+    write_fault.error = ENOSPC;
+    write_fault.short_write_bytes = partial;
+    InjectIoFault(write_fault);
+    IoFault truncate_fault;
+    truncate_fault.point = IoPoint::kTruncate;
+    InjectIoFault(truncate_fault);
+
+    const Status failed = store.IngestBatch(batches[1]);
+    EXPECT_EQ(failed.code(), StatusCode::kInternal);
+    EXPECT_NE(failed.message().find("WAL left torn"), std::string::npos)
+        << failed.ToString();
+    // The short write's bytes are still in the file.
+    EXPECT_EQ(fs::file_size(DurableSketchStore::WalPath(dir)),
+              batch_start + partial);
+  }
+  // Recovery reads the partial multi-record write like any crash
+  // mid-batch: the records wholly inside it replay (none was
+  // acknowledged, and the server fail-stops on this error), the frame
+  // it cut is a torn tail.
+  uint64_t end = 0;
+  for (const WalRecord& record : batches[1]) {
+    end += EncodeWalRecord(record).size();
+    if (end > partial) break;
+    ApplyToReference({record}, &ref);
+  }
+  EXPECT_EQ(Fingerprint(MustOpen(dir).store()), Fingerprint(ref));
 }
 
 TEST_F(DurabilityTest, SyncEveryIngestModeWorks) {

@@ -927,7 +927,8 @@ TEST(FuzzProtocolV7TruncationTest, EveryBodyTruncationIsCorruption) {
   // Same for the SET_TAG request body on the request decoder.
   {
     size_t frame_size = 0;
-    auto body = DecodeFrame(SetTagRequestFrame(), &frame_size);
+    const std::string frame = SetTagRequestFrame();  // body views into it
+    auto body = DecodeFrame(frame, &frame_size);
     ASSERT_TRUE(body.ok());
     const std::string original(body.value());
     for (size_t cut = 0; cut < original.size(); ++cut) {

@@ -613,9 +613,13 @@ TEST_F(ReplicationTest, LateFollowerBootstrapsViaChunkedSnapshot) {
 
   auto follower =
       MustStart(Dir("follower"), FollowerOptions(primary->port()));
+  // The subscriber count rises when the follower is adopted; the pump
+  // ships the bootstrap snapshot after that, so wait for the frame
+  // itself. 20 populated series encode far past 128 bytes: the image
+  // cannot have fit in one frame.
   AwaitSubscribers(primary->port(), 1);
-  // 20 populated series encode far past 128 bytes: the image cannot
-  // have fit in one frame.
+  ASSERT_TRUE(AwaitTrue([&] { return primary->repl_snapshot_frames() >= 1; }))
+      << "no bootstrap snapshot frame was shipped";
   EXPECT_GE(primary->repl_snapshot_frames(), 1u);
 
   // Post-bootstrap tailing still works on top of the installed image.

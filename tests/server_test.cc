@@ -544,6 +544,90 @@ TEST_F(ServerTest, StopDuringConnectStormNeverLeaksOrHangs) {
   }
 }
 
+TEST_F(ServerTest, FailedCommitFailStopsOnlyThatShard) {
+  // A commit whose fsync fails leaves the shard's durability in doubt:
+  // the shard records the error (commit_error) and refuses every later
+  // INGEST/MERGE with it, while its reads, STATS and the other shards
+  // keep serving.
+  SketchServerOptions options;
+  options.shards = 2;
+  auto server = MustStart(Dir("failstop"), options);
+  SketchClient client = MustConnect(*server);
+  const std::string broken = "svc.0";
+  std::string healthy;
+  for (int i = 1; healthy.empty(); ++i) {
+    const std::string name = "svc." + std::to_string(i);
+    if (ShardedDurableStore::ShardForSeries(name, 2) !=
+        ShardedDurableStore::ShardForSeries(broken, 2)) {
+      healthy = name;
+    }
+  }
+  ASSERT_TRUE(client.IngestValue(broken, 0, 1.0).ok());
+  ASSERT_TRUE(client.IngestValue(healthy, 0, 2.0).ok());
+
+  IoFault fault;
+  fault.point = IoPoint::kFsync;
+  fault.error = EIO;
+  InjectIoFault(fault);
+  const Status failed = client.IngestValue(broken, 10, 3.0);
+  ClearIoFaults();
+  ASSERT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+
+  // Sticky: the same error for later writes to that shard, values and
+  // sketches alike, although the disk works again.
+  const Status again = client.IngestValue(broken, 20, 4.0);
+  EXPECT_EQ(again.code(), StatusCode::kInternal);
+  EXPECT_EQ(again.message(), failed.message());
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  worker.Add(5.0);
+  EXPECT_EQ(client.Merge(broken, 30, worker.Serialize()).code(),
+            StatusCode::kInternal);
+
+  // The other shard still commits; reads and STATS still answer, and
+  // the failed record never reached the broken shard's memory.
+  ASSERT_TRUE(client.IngestValue(healthy, 10, 6.0).ok());
+  auto read = client.Query(broken, 0, 100, {0.0, 1.0});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_NEAR(read.value()[0], 1.0, 0.02);
+  EXPECT_NEAR(read.value()[1], 1.0, 0.02);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().num_series, 2u);
+}
+
+TEST_F(ServerTest, MergeIsChargedItsDecodedSizeNotItsPayloadSize) {
+  // A staged MERGE holds its decoded sketch until commit. Two values
+  // far apart in a client-chosen wide dense store make a payload of a
+  // few dozen bytes that decodes into a store of hundreds of KiB;
+  // admission must charge what is held, so it is refused BUSY under a
+  // budget its payload alone would fit many times over.
+  SketchServerOptions options;
+  options.staged_bytes_budget = 64u << 10;
+  auto server = MustStart(Dir("decodedcharge"), options);
+  SketchClient client = MustConnect(*server);
+  client.set_busy_retries(0);
+
+  DDSketchConfig wide_config;
+  wide_config.max_num_buckets = 1 << 20;
+  auto wide = std::move(DDSketch::Create(wide_config)).value();
+  wide.Add(1e-100);
+  wide.Add(1e100);
+  const std::string payload = wide.Serialize();
+  ASSERT_LT(payload.size(), 1024u);
+  ASSERT_GT(wide.size_in_bytes(), size_t{2} * options.staged_bytes_budget);
+  EXPECT_EQ(client.Merge("svc", 0, payload).code(), StatusCode::kBusy);
+  EXPECT_EQ(server->busy_rejections(), 1u);
+
+  // A narrow sketch of the same parameters is still admitted, and the
+  // refused one left nothing behind.
+  auto narrow = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  for (int i = 1; i <= 100; ++i) narrow.Add(static_cast<double>(i));
+  ASSERT_TRUE(client.Merge("svc", 0, narrow.Serialize()).ok());
+  auto read = client.Query("svc", 0, 100, {1.0});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_NEAR(read.value()[0], 100.0, 2.0);
+}
+
 TEST_F(ServerTest, StatsReportServingCounters) {
   SketchServerOptions options;
   options.event_loops = 2;
