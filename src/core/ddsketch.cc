@@ -191,35 +191,30 @@ void DDSketch::AddBatch(std::span<const double> values) noexcept {
 
 template <MappingType kType>
 void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
-  // Three phases per chunk, so each concern runs as its own tight loop:
+  // Two phases per chunk, so each concern runs as its own tight loop:
   //  1. classify each value, computing its bucket index into a stack
-  //     buffer (one per sign) and compacting accepted values into a third;
+  //     buffer (one per sign) and folding it into sum/min/max held in
+  //     registers;
   //  2. drain each index buffer into its dense store, which keeps the
   //     count/extreme bookkeeping in registers for the whole run rather
-  //     than a memory round trip per value;
-  //  3. reduce sum/min/max over the accepted buffer with interleaved
-  //     accumulators, off the critical path of the classification loop
-  //     (a single serial sum chain would otherwise bound the whole batch
-  //     at FP-add latency per value).
+  //     than a memory round trip per value.
   // Anything outside the plain in-range case — NaN/inf, zero-bucket,
   // clamped magnitudes — detours through scalar Add, which maintains
-  // every counter. Bucket counters make the store content insensitive to
-  // the reordering between a detour and its chunk-mates (same argument
-  // as merge order independence); the interleaved summation makes sum()
-  // order-insensitive only up to floating-point rounding, which is all
-  // MergeFrom ever promised for it.
+  // every counter. sum/min/max are folded in input order, detours in
+  // their place, so the sketch is bit-identical to one Add per value
+  // however a stream is split into batches; bucket counters make the
+  // store content insensitive to the deferred drain (same argument as
+  // merge order independence).
   constexpr size_t kChunk = 512;
   int32_t pos_idx[kChunk];
   int32_t neg_idx[kChunk];
-  double accepted[kChunk];
   const double lo_bound = fast_index_.min_indexable;
   const double hi_bound = fast_index_.max_indexable;
   const double multiplier = fast_index_.multiplier;
-  double sum0 = 0.0, sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
-  double lo0 = min_, lo1 = min_, hi0 = max_, hi1 = max_;
+  double sum = sum_, lo = min_, hi = max_;
   for (size_t base = 0; base < values.size(); base += kChunk) {
     const size_t n = std::min(kChunk, values.size() - base);
-    size_t np = 0, nn = 0, na = 0;
+    size_t np = 0, nn = 0;
     for (size_t i = 0; i < n; ++i) {
       const double value = values[base + i];
       const double magnitude = std::abs(value);
@@ -227,7 +222,13 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
       // compares, +/-inf and clamped magnitudes the second, zero-bucket
       // values the first.
       if (!(magnitude >= lo_bound && magnitude <= hi_bound)) {
+        sum_ = sum;
+        min_ = lo;
+        max_ = hi;
         Add(value, 1);
+        sum = sum_;
+        lo = min_;
+        hi = max_;
         continue;
       }
       const int32_t index = FastIndexT<kType>(multiplier, magnitude);
@@ -236,36 +237,16 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
       } else {
         neg_idx[nn++] = index;
       }
-      accepted[na++] = value;
+      sum += value;
+      lo = std::min(lo, value);
+      hi = std::max(hi, value);
     }
     DrainIndexRun(positive_dense_, positive_.get(), {pos_idx, np});
     DrainIndexRun(negative_dense_, negative_.get(), {neg_idx, nn});
-    size_t i = 0;
-    for (; i + 4 <= na; i += 4) {
-      sum0 += accepted[i];
-      sum1 += accepted[i + 1];
-      sum2 += accepted[i + 2];
-      sum3 += accepted[i + 3];
-      lo0 = accepted[i] < lo0 ? accepted[i] : lo0;
-      hi0 = accepted[i] > hi0 ? accepted[i] : hi0;
-      lo1 = accepted[i + 1] < lo1 ? accepted[i + 1] : lo1;
-      hi1 = accepted[i + 1] > hi1 ? accepted[i + 1] : hi1;
-      lo0 = accepted[i + 2] < lo0 ? accepted[i + 2] : lo0;
-      hi0 = accepted[i + 2] > hi0 ? accepted[i + 2] : hi0;
-      lo1 = accepted[i + 3] < lo1 ? accepted[i + 3] : lo1;
-      hi1 = accepted[i + 3] > hi1 ? accepted[i + 3] : hi1;
-    }
-    for (; i < na; ++i) {
-      sum0 += accepted[i];
-      lo0 = accepted[i] < lo0 ? accepted[i] : lo0;
-      hi0 = accepted[i] > hi0 ? accepted[i] : hi0;
-    }
   }
-  sum_ += ((sum0 + sum1) + (sum2 + sum3));
-  // Merge, don't overwrite: scalar Add detours above may have advanced
-  // min_/max_ past this loop's local view.
-  min_ = std::min(std::min(min_, lo0), lo1);
-  max_ = std::max(std::max(max_, hi0), hi1);
+  sum_ = sum;
+  min_ = lo;
+  max_ = hi;
 }
 
 uint64_t DDSketch::Remove(double value, uint64_t count) noexcept {

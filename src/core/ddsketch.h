@@ -88,9 +88,10 @@ class DDSketch {
   /// Adds every value of `values`: the batch form of Add with identical
   /// semantics (same rejection/zero-bucket/clamp handling) but a hot loop
   /// that hoists the indexable bounds, computes indices with zero virtual
-  /// dispatch, increments dense-store slots directly, and reduces
-  /// sum/min/max in registers. The whole ingest stack
-  /// (ConcurrentDDSketch, SketchStore, DurableSketchStore, sketchd's
+  /// dispatch, increments dense-store slots directly, and folds
+  /// sum/min/max in registers in input order — bit-identical to one Add
+  /// per value, however a stream is split into batches. The whole ingest
+  /// stack (ConcurrentDDSketch, SketchStore, DurableSketchStore, sketchd's
   /// committer) funnels value batches through here.
   void AddBatch(std::span<const double> values) noexcept;
 

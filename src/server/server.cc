@@ -641,13 +641,14 @@ class SketchServer::EventLoop {
   void CloseConn(Conn* c, bool shed) {
     if (c->closed) return;
     c->closed = true;
-    epoll_->Del(c->fd);
-    ::close(c->fd);
-    c->fd = -1;
+    // Count first: the peer may observe EOF as soon as the fd closes.
     server_->connections_open_.fetch_sub(1, std::memory_order_relaxed);
     if (shed) {
       server_->connections_shed_.fetch_add(1, std::memory_order_relaxed);
     }
+    epoll_->Del(c->fd);
+    ::close(c->fd);
+    c->fd = -1;
     if (!c->run) {
       auto it = conns_.find(c);
       graveyard_.push_back(std::move(it->second));

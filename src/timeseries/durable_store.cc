@@ -42,20 +42,6 @@ Status CheckOptionsMatch(const SketchStoreOptions& snapshot,
   return Status::OK();
 }
 
-Status Apply(SketchStore* store, const WalRecord& record) {
-  switch (record.type) {
-    case WalRecord::Type::kIngestSketch: {
-      auto decoded = DDSketch::Deserialize(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      return store->IngestSketch(record.series, record.timestamp,
-                                 decoded.value());
-    }
-    case WalRecord::Type::kIngestValue:
-      return store->IngestValue(record.series, record.timestamp, record.value);
-  }
-  return Status::Corruption("unknown WAL record type");
-}
-
 /// The token every directory starts at; the first promotion moves to 2.
 constexpr uint64_t kInitialFenceToken = 1;
 
@@ -186,9 +172,7 @@ Result<DurableSketchStore> DurableSketchStore::Open(
       return Status::Corruption(
           "WAL epoch does not match the snapshot (mixed data directories?)");
     }
-    for (const WalRecord& record : wal.records) {
-      DD_RETURN_IF_ERROR(Apply(&store, record));
-    }
+    DD_RETURN_IF_ERROR(ApplyRecords(wal.records, {}, &store));
     auto writer = WalWriter::OpenExisting(wal_path, wal.epoch, wal.valid_size);
     if (!writer.ok()) return writer.status();
     return finish(std::move(store), std::move(writer).value());
@@ -199,29 +183,21 @@ Result<DurableSketchStore> DurableSketchStore::Open(
   return finish(std::move(store), std::move(writer).value());
 }
 
-Status DurableSketchStore::Append(const WalRecord& record) {
-  DD_RETURN_IF_ERROR(wal_.Append(record));
-  if (options_.sync_every_ingest) {
-    DD_RETURN_IF_ERROR(wal_.Sync());
-  }
-  return Status::OK();
-}
-
 Status DurableSketchStore::Ingest(const std::string& series, int64_t timestamp,
                                   std::string_view payload) {
   DD_RETURN_IF_ERROR(CheckWritable());
-  // Validate fully before logging: the WAL must only ever contain records
-  // that replay cleanly.
-  auto decoded = DDSketch::Deserialize(payload);
-  if (!decoded.ok()) return decoded.status();
-  DD_RETURN_IF_ERROR(store_.CheckCompatible(decoded.value()));
   WalRecord record;
   record.type = WalRecord::Type::kIngestSketch;
   record.series = series;
   record.timestamp = timestamp;
   record.payload.assign(payload);
-  DD_RETURN_IF_ERROR(Append(record));
-  return store_.IngestSketch(series, timestamp, decoded.value());
+  // Validate fully before logging: the WAL must only ever contain records
+  // that replay cleanly.
+  std::optional<DDSketch> decoded;
+  DD_RETURN_IF_ERROR(ValidateRecord(record, &decoded));
+  const std::span<const WalRecord> one(&record, 1);
+  DD_RETURN_IF_ERROR(CommitToWal(one, {}, options_.sync_every_ingest));
+  return ApplyRecords(one, std::span(&*decoded, 1), &store_);
 }
 
 Status DurableSketchStore::IngestValue(const std::string& series,
@@ -232,8 +208,9 @@ Status DurableSketchStore::IngestValue(const std::string& series,
   record.series = series;
   record.timestamp = timestamp;
   record.value = value;
-  DD_RETURN_IF_ERROR(Append(record));
-  return store_.IngestValue(series, timestamp, value);
+  const std::span<const WalRecord> one(&record, 1);
+  DD_RETURN_IF_ERROR(CommitToWal(one, {}, options_.sync_every_ingest));
+  return ApplyRecords(one, {}, &store_);
 }
 
 Status DurableSketchStore::ValidateRecord(
@@ -252,18 +229,30 @@ Status DurableSketchStore::ValidateRecord(
   return Status::Corruption("unknown WAL record type");
 }
 
-Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records) {
-  DD_RETURN_IF_ERROR(CheckWritable());
-  std::vector<DDSketch> sketches;
+Status DurableSketchStore::ValidateRecords(
+    std::span<const WalRecord> records, std::vector<DDSketch>* sketches) const {
+  // Past the cap sketches are validated and dropped (what is kept stays
+  // a prefix); ApplyRecords decodes those one at a time as it merges.
+  size_t held_bytes = 0;
   std::optional<DDSketch> sketch;
   for (const WalRecord& record : records) {
     DD_RETURN_IF_ERROR(ValidateRecord(record, &sketch));
-    if (sketch) {
-      sketches.push_back(std::move(*sketch));
-      sketch.reset();
+    if (!sketch) continue;
+    held_bytes += sketch->size_in_bytes();
+    if (held_bytes <= kMaxHeldDecodedBytes) {
+      sketches->push_back(std::move(*sketch));
     }
+    sketch.reset();
   }
-  return IngestBatch(records, sketches);
+  return Status::OK();
+}
+
+Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records) {
+  DD_RETURN_IF_ERROR(CheckWritable());
+  std::vector<DDSketch> sketches;
+  DD_RETURN_IF_ERROR(ValidateRecords(records, &sketches));
+  DD_RETURN_IF_ERROR(CommitToWal(records, {}, /*sync=*/true));
+  return ApplyRecords(records, sketches, &store_);
 }
 
 Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records,
@@ -296,58 +285,63 @@ Status DurableSketchStore::IngestBatch(std::span<const WalRecord> records,
         " decoded sketches for " + std::to_string(sketch_records) +
         " sketch records");
   }
-  const uint64_t batch_start = wal_.offset();
-  Status status = wal_.Append(records);  // the one write the batch shares
-  if (status.ok()) {
-    status = wal_.Sync();  // the one flush the batch shares
+  DD_RETURN_IF_ERROR(CommitToWal(records, {}, /*sync=*/true));
+  return ApplyRecords(records, sketches, &store_);
+}
+
+Status DurableSketchStore::CommitToWal(std::span<const WalRecord> records,
+                                       std::string_view framed, bool sync) {
+  const uint64_t start = wal_.offset();
+  Status status = framed.empty() ? wal_.Append(records) : wal_.AppendRaw(framed);
+  if (status.ok() && sync) status = wal_.Sync();
+  if (status.ok()) return status;
+  // A failed or short write leaves a torn frame in the commit's bytes,
+  // and after a failed fsync their durability is unknown; a later append
+  // behind them would be dropped by recovery or fail it. Truncate back
+  // so the log stays clean; if even that fails the log must not be
+  // appended to again (SketchServer fail-stops on any error).
+  if (Status repair = wal_.TruncateTo(start); !repair.ok()) {
+    return Status::Internal("WAL left torn after failed commit (" +
+                            status.ToString() +
+                            "); truncate failed: " + repair.message());
   }
-  if (!status.ok()) {
-    // A failed or short write leaves a torn frame somewhere in the
-    // batch's bytes, and after a failed fsync the batch's durability is
-    // unknown; anything appended after it would be silently dropped by
-    // recovery's torn-tail scan. Truncate back to the batch start so
-    // the log stays clean for future commits; if even that fails,
-    // escalate — the log must not be appended to again (SketchServer
-    // fail-stops its ingest path on any error).
-    if (Status repair = wal_.TruncateTo(batch_start); !repair.ok()) {
-      return Status::Internal(
-          "WAL left torn after failed batch commit (" + status.ToString() +
-          "); truncate failed: " + repair.message());
-    }
-    return status;
-  }
-  // Merge phase. Value records are the committer's common case and a
-  // batch is typically one client's burst into one series, so runs of
-  // consecutive kIngestValue records sharing a series and raw interval
-  // collapse into a single IngestValues call — one interval lookup and
-  // one DDSketch::AddBatch pass instead of a lookup + virtual add per
-  // record. Record order within the batch is preserved (sketch merges
-  // are order-independent anyway, but the WAL replay path applies the
-  // same sequence).
+  return status;
+}
+
+Status DurableSketchStore::ApplyRecords(std::span<const WalRecord> records,
+                                        std::span<const DDSketch> sketches,
+                                        SketchStore* store) {
+  // Runs of value records sharing a series and raw interval collapse
+  // into one IngestValues call: one interval lookup and one AddBatch
+  // pass. AddBatch leaves the same bits however a stream is cut into
+  // runs, so live, replayed and replicated state are bit-identical.
   std::vector<double> run_values;
   size_t next_sketch = 0;
   for (size_t i = 0; i < records.size();) {
     const WalRecord& record = records[i];
     if (record.type == WalRecord::Type::kIngestSketch) {
-      DD_RETURN_IF_ERROR(store_.IngestSketch(record.series, record.timestamp,
-                                             sketches[next_sketch++]));
+      DD_RETURN_IF_ERROR(
+          next_sketch < sketches.size()
+              ? store->IngestSketch(record.series, record.timestamp,
+                                    sketches[next_sketch++])
+              : store->Ingest(record.series, record.timestamp, record.payload));
       ++i;
       continue;
     }
-    const int64_t interval = store_.RawStart(record.timestamp);
+    const int64_t interval = store->RawStart(record.timestamp);
     run_values.clear();
     size_t j = i;
     for (; j < records.size(); ++j) {
       const WalRecord& next = records[j];
       if (next.type != WalRecord::Type::kIngestValue ||
           next.series != record.series ||
-          store_.RawStart(next.timestamp) != interval) {
+          store->RawStart(next.timestamp) != interval) {
         break;
       }
       run_values.push_back(next.value);
     }
     DD_RETURN_IF_ERROR(
-        store_.IngestValues(record.series, record.timestamp, run_values));
+        store->IngestValues(record.series, record.timestamp, run_values));
     i = j;
   }
   return Status::OK();
@@ -525,15 +519,10 @@ Status DurableSketchStore::ApplyReplicatedSegment(uint64_t epoch,
   }
   auto records = DecodeWalSegment(bytes);
   if (!records.ok()) return records.status();
-  for (const WalRecord& record : records.value()) {
-    DD_RETURN_IF_ERROR(ValidateRecord(record));
-  }
-  DD_RETURN_IF_ERROR(wal_.AppendRaw(bytes));
-  DD_RETURN_IF_ERROR(wal_.Sync());
-  for (const WalRecord& record : records.value()) {
-    DD_RETURN_IF_ERROR(Apply(&store_, record));
-  }
-  return Status::OK();
+  std::vector<DDSketch> sketches;
+  DD_RETURN_IF_ERROR(ValidateRecords(records.value(), &sketches));
+  DD_RETURN_IF_ERROR(CommitToWal(records.value(), bytes, /*sync=*/true));
+  return ApplyRecords(records.value(), sketches, &store_);
 }
 
 }  // namespace dd

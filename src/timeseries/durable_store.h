@@ -8,6 +8,9 @@
 // Write path: every acknowledged ingest is validated, appended to the
 // WAL (and optionally fsynced), and only then merged into the in-memory
 // store — an OK return means the record replays on the next Open().
+// Every write shares one commit step (a failed write or fsync truncates
+// the log back to where it started), and every merge into memory — live,
+// WAL replay, follower — one apply step, so their states are bit-identical.
 //
 // Recovery protocol (Open): a fresh directory is initialized with an
 // empty epoch-0 snapshot, pinning the store options so every later Open
@@ -117,18 +120,20 @@ class DurableSketchStore {
   /// Ingest/IngestValue, the batch always fsyncs (ignoring
   /// sync_every_ingest): callers use this to acknowledge remote clients,
   /// and an acknowledgment promises power-loss durability. An OK return
-  /// means every record in the batch replays on the next Open(). On a
-  /// write/fsync failure — including a short write that left part of
-  /// the batch in the file — the log is truncated back to the batch
-  /// start (nothing from the batch replays); if even that repair fails
-  /// the log is torn mid-file and the error says so — callers must stop
-  /// appending (a torn frame would make recovery silently drop
-  /// everything after it).
+  /// means every record in the batch replays on the next Open(). A
+  /// failed write or fsync is repaired as for every write (nothing from
+  /// the batch replays); if the repair fails too the error says "WAL
+  /// left torn" and callers must stop appending.
   Status IngestBatch(std::span<const WalRecord> records,
                      std::span<const DDSketch> sketches);
   /// Group commit of undecoded records: decodes and validates every
-  /// sketch payload (ValidateRecord), then the pre-decoded form.
+  /// sketch payload (ValidateRecord), then commits as above.
   Status IngestBatch(std::span<const WalRecord> records);
+
+  /// Decoded sketch bytes an undecoded commit (the overload above or
+  /// ApplyReplicatedSegment) keeps from validation to merge; a tiny
+  /// payload can decode to a huge store, so the rest are decoded twice.
+  static constexpr size_t kMaxHeldDecodedBytes = size_t{16} << 20;
 
   /// Explicitly ages the ladder (SketchStore::Compact, with `now`
   /// clamped to the data horizon), then checkpoints. Returns the number
@@ -291,7 +296,23 @@ class DurableSketchStore {
         store_(std::move(store)),
         wal_(std::move(wal)) {}
 
-  Status Append(const WalRecord& record);
+  /// The commit step of every write: appends `records` in one write (or,
+  /// when non-empty, their already-framed bytes `framed` verbatim),
+  /// fsyncs if `sync`, and on failure truncates back to the entry offset
+  /// (escalating with "WAL left torn" if that fails too).
+  Status CommitToWal(std::span<const WalRecord> records,
+                     std::string_view framed, bool sync);
+  /// The apply step of every merge into memory: applies `records` to
+  /// `store` in order, `sketches` being the decoded payloads of the
+  /// first sketches.size() kIngestSketch records in record order; the
+  /// rest are decoded one at a time as they are applied.
+  static Status ApplyRecords(std::span<const WalRecord> records,
+                             std::span<const DDSketch> sketches,
+                             SketchStore* store);
+  /// ValidateRecord over `records`, keeping the leading decoded sketches
+  /// up to kMaxHeldDecodedBytes in all.
+  Status ValidateRecords(std::span<const WalRecord> records,
+                         std::vector<DDSketch>* sketches) const;
   /// FENCED when writes_fenced(); the gate on every public write path.
   Status CheckWritable() const;
   /// Checkpoint without the writability gate (the follower's own

@@ -27,7 +27,7 @@ struct FaultSlot {
   uint64_t calls = 0;  // calls at this point since arming
 };
 std::mutex g_fault_mu;
-FaultSlot g_faults[static_cast<size_t>(IoPoint::kTruncate) + 1];
+FaultSlot g_faults[static_cast<size_t>(IoPoint::kRename) + 1];
 std::atomic<bool> g_any_fault{false};
 
 /// Counts one call at `point` against its armed fault and returns the
@@ -161,7 +161,9 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
     ::unlink(tmp.c_str());
     return status;
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+  const auto fault = TakeFault(IoPoint::kRename);
+  if (fault) errno = fault->error;
+  if (fault || ::rename(tmp.c_str(), path.c_str()) != 0) {
     const Status rename_status = Status::Internal(Errno("rename", path));
     ::unlink(tmp.c_str());
     return rename_status;

@@ -36,7 +36,8 @@ uint64_t TotalWriteCount();
 enum class IoPoint {
   kWrite,     ///< each write(2) of AppendOnlyFile::Append / WriteFileAtomic
   kFsync,     ///< each fsync(2), including directory and lock-file syncs
-  kTruncate,  ///< AppendOnlyFile::Truncate's ftruncate(2); keep last
+  kTruncate,  ///< AppendOnlyFile::Truncate's ftruncate(2)
+  kRename,    ///< WriteFileAtomic's rename(2); keep last
 };
 
 /// A one-shot injected failure (test-only: nothing outside tests arms

@@ -10,11 +10,16 @@
 #include "timeseries/durable_store.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,6 +29,30 @@
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/file_io.h"
+
+// Live and peak bytes held through operator new in this binary, so a
+// test can bound what one call holds at once.
+namespace {
+std::atomic<int64_t> g_heap_live{0};
+std::atomic<int64_t> g_heap_peak{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live = g_heap_live.fetch_add(bytes) + bytes;
+  int64_t peak = g_heap_peak.load();
+  while (live > peak && !g_heap_peak.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_heap_live.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
 
 namespace dd {
 namespace {
@@ -667,21 +696,95 @@ class GroupCommitIoTest : public DurabilityTest {
     return bytes.size();
   }
 
-  /// Commits batch 0, fails batch 1 with `fault` armed, checks that the
-  /// log is back at the batch start, commits batch 2, and checks that a
-  /// reopen replays exactly batches 0 and 2.
-  void ExpectFailedBatchIsRepaired(const std::string& dir, IoFault fault) {
-    const auto batches = ThreeBatches();
+  /// One way of writing records to a durable store. Every write path
+  /// shares the store's one commit step, so each must repair an
+  /// injected fault the same way.
+  struct WritePath {
+    const char* name;
+    DurableSketchStoreOptions options;
+    /// Three disjoint batches; a commit writes one batch.
+    std::vector<std::vector<WalRecord>> batches;
+    std::function<Status(DurableSketchStore&, std::span<const WalRecord>)>
+        commit;
+  };
+
+  /// Three one-record batches of `type`, for the single-record writes.
+  static std::vector<std::vector<WalRecord>> OneRecordBatches(
+      WalRecord::Type type) {
+    const std::vector<WalRecord> candidates = ThreeBatches()[0];
+    std::vector<std::vector<WalRecord>> batches;
+    for (const WalRecord& record : candidates) {
+      if (record.type == type && batches.size() < 3) {
+        batches.push_back({record});
+      }
+    }
+    return batches;
+  }
+
+  /// The group commit, both single-record writes (fsyncing, so an fsync
+  /// fault has a flush to hit), and a follower applying each batch as a
+  /// replicated segment at its own wal_offset() — which is where a
+  /// primary resends from after a failed apply.
+  static std::vector<WritePath> WritePaths() {
+    DurableSketchStoreOptions synced = Options();
+    synced.sync_every_ingest = true;
+    DurableSketchStoreOptions follower = Options();
+    follower.role = StoreRole::kFollower;
+    return {
+        {"IngestBatch", Options(), ThreeBatches(),
+         [](DurableSketchStore& store, std::span<const WalRecord> records) {
+           return store.IngestBatch(records);
+         }},
+        {"IngestValue", synced,
+         OneRecordBatches(WalRecord::Type::kIngestValue),
+         [](DurableSketchStore& store, std::span<const WalRecord> records) {
+           const WalRecord& record = records.front();
+           return store.IngestValue(record.series, record.timestamp,
+                                    record.value);
+         }},
+        {"Ingest", synced, OneRecordBatches(WalRecord::Type::kIngestSketch),
+         [](DurableSketchStore& store, std::span<const WalRecord> records) {
+           const WalRecord& record = records.front();
+           return store.Ingest(record.series, record.timestamp,
+                               record.payload);
+         }},
+        {"ApplyReplicatedSegment", follower, ThreeBatches(),
+         [](DurableSketchStore& store, std::span<const WalRecord> records) {
+           std::string bytes;
+           for (const WalRecord& record : records) {
+             AppendWalRecord(record, &bytes);
+           }
+           return store.ApplyReplicatedSegment(store.epoch(),
+                                               store.wal_offset(), bytes);
+         }},
+    };
+  }
+
+  using DurabilityTest::MustOpen;
+  static DurableSketchStore MustOpen(const std::string& dir,
+                                     const WritePath& path) {
+    auto opened = DurableSketchStore::Open(dir, path.options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return std::move(opened).value();
+  }
+
+  /// Through `path`: commits batch 0, fails batch 1 with `fault` armed,
+  /// checks that the log is back at the batch start, commits batch 2,
+  /// and checks that a reopen replays exactly batches 0 and 2.
+  void ExpectFailedBatchIsRepaired(const std::string& dir, IoFault fault,
+                                   const WritePath& path) {
+    SCOPED_TRACE(path.name);
+    const auto& batches = path.batches;
     auto ref = std::move(SketchStore::Create(Options().store)).value();
     {
-      DurableSketchStore store = MustOpen(dir);
-      ASSERT_TRUE(store.IngestBatch(batches[0]).ok());
+      DurableSketchStore store = MustOpen(dir, path);
+      ASSERT_TRUE(path.commit(store, batches[0]).ok());
       ApplyToReference(batches[0], &ref);
       const uint64_t batch_start = store.wal_offset();
       const std::string before = Fingerprint(store.store());
 
       InjectIoFault(fault);
-      const Status failed = store.IngestBatch(batches[1]);
+      const Status failed = path.commit(store, batches[1]);
       EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
       EXPECT_EQ(failed.message().find("WAL left torn"), std::string::npos)
           << failed.ToString();
@@ -692,10 +795,10 @@ class GroupCommitIoTest : public DurabilityTest {
       EXPECT_EQ(Fingerprint(store.store()), before);
 
       // The repaired log takes the next batch cleanly.
-      ASSERT_TRUE(store.IngestBatch(batches[2]).ok());
+      ASSERT_TRUE(path.commit(store, batches[2]).ok());
       ApplyToReference(batches[2], &ref);
     }
-    DurableSketchStore reopened = MustOpen(dir);
+    DurableSketchStore reopened = MustOpen(dir, path);
     EXPECT_EQ(Fingerprint(reopened.store()), Fingerprint(ref));
   }
 };
@@ -783,58 +886,206 @@ TEST_F(GroupCommitIoTest, PreDecodedBatchRejectsMismatchWithNothingLogged) {
 }
 
 TEST_F(GroupCommitIoTest, MidBufferWriteFailureTruncatesToBatchStart) {
-  IoFault fault;
-  fault.point = IoPoint::kWrite;
-  fault.error = ENOSPC;
-  fault.short_write_bytes = EncodedSize(ThreeBatches()[1]) / 2;
-  ExpectFailedBatchIsRepaired(Dir("shortwrite"), fault);
+  for (const WritePath& path : WritePaths()) {
+    IoFault fault;
+    fault.point = IoPoint::kWrite;
+    fault.error = ENOSPC;
+    fault.short_write_bytes = EncodedSize(path.batches[1]) / 2;
+    ExpectFailedBatchIsRepaired(Dir(std::string("shortwrite_") + path.name),
+                                fault, path);
+  }
 }
 
 TEST_F(GroupCommitIoTest, FsyncFailureTruncatesToBatchStart) {
-  IoFault fault;
-  fault.point = IoPoint::kFsync;
-  fault.error = EIO;
-  ExpectFailedBatchIsRepaired(Dir("fsyncfail"), fault);
+  for (const WritePath& path : WritePaths()) {
+    IoFault fault;
+    fault.point = IoPoint::kFsync;
+    fault.error = EIO;
+    ExpectFailedBatchIsRepaired(Dir(std::string("fsyncfail_") + path.name),
+                                fault, path);
+  }
 }
 
 TEST_F(GroupCommitIoTest, FailedTruncateReportsATornLog) {
-  const std::string dir = Dir("torn");
+  for (const WritePath& path : WritePaths()) {
+    SCOPED_TRACE(path.name);
+    const std::string dir = Dir(std::string("torn_") + path.name);
+    const auto& batches = path.batches;
+    const uint64_t partial = EncodedSize(batches[1]) / 2;
+    auto ref = std::move(SketchStore::Create(Options().store)).value();
+    ApplyToReference(batches[0], &ref);
+    {
+      DurableSketchStore store = MustOpen(dir, path);
+      ASSERT_TRUE(path.commit(store, batches[0]).ok());
+      const uint64_t batch_start = store.wal_offset();
+      IoFault write_fault;
+      write_fault.point = IoPoint::kWrite;
+      write_fault.error = ENOSPC;
+      write_fault.short_write_bytes = partial;
+      InjectIoFault(write_fault);
+      IoFault truncate_fault;
+      truncate_fault.point = IoPoint::kTruncate;
+      InjectIoFault(truncate_fault);
+
+      const Status failed = path.commit(store, batches[1]);
+      EXPECT_EQ(failed.code(), StatusCode::kInternal);
+      EXPECT_NE(failed.message().find("WAL left torn"), std::string::npos)
+          << failed.ToString();
+      // The short write's bytes are still in the file.
+      EXPECT_EQ(fs::file_size(DurableSketchStore::WalPath(dir)),
+                batch_start + partial);
+    }
+    // Recovery reads the partial multi-record write like any crash
+    // mid-batch: the records wholly inside it replay (none was
+    // acknowledged, and the server fail-stops on this error), the frame
+    // it cut is a torn tail.
+    uint64_t end = 0;
+    for (const WalRecord& record : batches[1]) {
+      end += EncodeWalRecord(record).size();
+      if (end > partial) break;
+      ApplyToReference({record}, &ref);
+    }
+    EXPECT_EQ(Fingerprint(MustOpen(dir, path).store()), Fingerprint(ref));
+  }
+}
+
+TEST_F(GroupCommitIoTest, FailedSnapshotRenameKeepsOldSnapshotAndFullLog) {
+  const std::string dir = Dir("rename");
   const auto batches = ThreeBatches();
-  const uint64_t partial = EncodedSize(batches[1]) / 2;
   auto ref = std::move(SketchStore::Create(Options().store)).value();
-  ApplyToReference(batches[0], &ref);
+  uint64_t epoch = 0;
   {
     DurableSketchStore store = MustOpen(dir);
     ASSERT_TRUE(store.IngestBatch(batches[0]).ok());
-    const uint64_t batch_start = store.wal_offset();
-    IoFault write_fault;
-    write_fault.point = IoPoint::kWrite;
-    write_fault.error = ENOSPC;
-    write_fault.short_write_bytes = partial;
-    InjectIoFault(write_fault);
-    IoFault truncate_fault;
-    truncate_fault.point = IoPoint::kTruncate;
-    InjectIoFault(truncate_fault);
+    ApplyToReference(batches[0], &ref);
+    ASSERT_TRUE(store.Checkpoint().ok());  // the old snapshot: batch 0
+    ASSERT_TRUE(store.IngestBatch(batches[1]).ok());
+    ApplyToReference(batches[1], &ref);
+    epoch = store.epoch();
 
-    const Status failed = store.IngestBatch(batches[1]);
-    EXPECT_EQ(failed.code(), StatusCode::kInternal);
-    EXPECT_NE(failed.message().find("WAL left torn"), std::string::npos)
-        << failed.ToString();
-    // The short write's bytes are still in the file.
-    EXPECT_EQ(fs::file_size(DurableSketchStore::WalPath(dir)),
-              batch_start + partial);
+    IoFault fault;
+    fault.point = IoPoint::kRename;
+    InjectIoFault(fault);
+    const Status failed = store.Checkpoint();
+    EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed.ToString();
+    // The log was not reset and the temporary snapshot is gone.
+    EXPECT_EQ(store.epoch(), epoch);
+    EXPECT_FALSE(
+        FileExists(DurableSketchStore::SnapshotPath(dir) + ".tmp"));
+
+    // The store keeps accepting writes.
+    ASSERT_TRUE(store.IngestBatch(batches[2]).ok());
+    ApplyToReference(batches[2], &ref);
   }
-  // Recovery reads the partial multi-record write like any crash
-  // mid-batch: the records wholly inside it replay (none was
-  // acknowledged, and the server fail-stops on this error), the frame
-  // it cut is a torn tail.
-  uint64_t end = 0;
-  for (const WalRecord& record : batches[1]) {
-    end += EncodeWalRecord(record).size();
-    if (end > partial) break;
-    ApplyToReference({record}, &ref);
+  // Old snapshot plus the full log: exactly the acknowledged records.
+  DurableSketchStore reopened = MustOpen(dir);
+  EXPECT_EQ(reopened.epoch(), epoch);
+  EXPECT_EQ(Fingerprint(reopened.store()), Fingerprint(ref));
+}
+
+TEST_F(GroupCommitIoTest, LiveReopenedAndFollowerStateAreBitIdentical) {
+  // One group commit of many distinct values for one series and interval
+  // sums them in one AddBatch run; recovery replays the whole log and a
+  // follower applies it in two segments. All three must encode to the
+  // same snapshot bytes, sum() included.
+  const std::string dir = Dir("primary");
+  std::vector<WalRecord> records;
+  for (int i = 0; i < 64; ++i) {
+    WalRecord record;
+    record.type = WalRecord::Type::kIngestValue;
+    record.series = "api.latency";
+    record.timestamp = 3;
+    record.value = 0.1 * (i + 1) + 1e3 / (i + 7);
+    records.push_back(std::move(record));
   }
-  EXPECT_EQ(Fingerprint(MustOpen(dir).store()), Fingerprint(ref));
+  std::string live;
+  {
+    DurableSketchStore primary = MustOpen(dir);
+    ASSERT_TRUE(primary.IngestBatch(records).ok());
+    live = EncodeSnapshot(primary.store(), 0);
+
+    // A follower fed the primary's log bytes, split at an interior
+    // record boundary.
+    DurableSketchStoreOptions follower_options = Options();
+    follower_options.role = StoreRole::kFollower;
+    auto follower =
+        DurableSketchStore::Open(Dir("follower"), follower_options);
+    ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+    const uint64_t end = primary.wal_offset();
+    auto first = primary.ReadWalChunk(kWalHeaderBytes,
+                                      (end - kWalHeaderBytes) / 2);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_GT(first.value().size(), 0u);
+    ASSERT_LT(first.value().size(), end - kWalHeaderBytes);
+    auto rest =
+        primary.ReadWalChunk(kWalHeaderBytes + first.value().size(), end);
+    ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+    for (const std::string* segment : {&first.value(), &rest.value()}) {
+      DurableSketchStore& f = follower.value();
+      ASSERT_TRUE(
+          f.ApplyReplicatedSegment(f.epoch(), f.wal_offset(), *segment).ok());
+    }
+    EXPECT_EQ(follower.value().wal_offset(), end);
+    EXPECT_EQ(EncodeSnapshot(follower.value().store(), 0), live);
+  }
+  EXPECT_EQ(EncodeSnapshot(MustOpen(dir).store(), 0), live);
+}
+
+TEST_F(GroupCommitIoTest, WideMergesAreNotAllHeldDecodedAtOnce) {
+  // A payload under 1 KiB in a client-chosen wide dense store decodes to
+  // hundreds of KiB. A segment of them, applied by a follower (or given
+  // to the undecoded group commit), must not hold every decoded sketch
+  // from validation to merge: past the cap they are decoded at merge.
+  DDSketchConfig wide_config;
+  wide_config.max_num_buckets = 1 << 20;
+  auto wide = std::move(DDSketch::Create(wide_config)).value();
+  wide.Add(1e-100);
+  wide.Add(1e100);
+  WalRecord record;
+  record.type = WalRecord::Type::kIngestSketch;
+  record.series = "svc";
+  record.timestamp = 3;
+  record.payload = wide.Serialize();
+  ASSERT_LT(record.payload.size(), 1024u);
+  const size_t cap = DurableSketchStore::kMaxHeldDecodedBytes;
+  const size_t count = 3 * cap / wide.size_in_bytes() + 1;
+  const std::vector<WalRecord> records(count, record);
+  std::string segment;
+  for (const WalRecord& r : records) AppendWalRecord(r, &segment);
+  auto ref = std::move(SketchStore::Create(Options().store)).value();
+  ApplyToReference(records, &ref);
+
+  DurableSketchStoreOptions follower_options = Options();
+  follower_options.role = StoreRole::kFollower;
+  const struct {
+    const char* name;
+    DurableSketchStoreOptions options;
+    std::function<Status(DurableSketchStore&)> commit;
+  } paths[] = {
+      {"ApplyReplicatedSegment", follower_options,
+       [&](DurableSketchStore& store) {
+         return store.ApplyReplicatedSegment(store.epoch(), store.wal_offset(),
+                                             segment);
+       }},
+      {"IngestBatch", Options(),
+       [&](DurableSketchStore& store) { return store.IngestBatch(records); }},
+  };
+  for (const auto& path : paths) {
+    SCOPED_TRACE(path.name);
+    const std::string dir = Dir(path.name);
+    {
+      auto opened = DurableSketchStore::Open(dir, path.options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      DurableSketchStore& store = opened.value();
+      const int64_t baseline = g_heap_live.load();
+      g_heap_peak.store(baseline);
+      ASSERT_TRUE(path.commit(store).ok());
+      const int64_t held = g_heap_peak.load() - baseline;
+      EXPECT_LT(held, static_cast<int64_t>(cap + cap / 2));
+      EXPECT_EQ(Fingerprint(store.store()), Fingerprint(ref));
+    }
+    EXPECT_EQ(Fingerprint(MustOpen(dir).store()), Fingerprint(ref));
+  }
 }
 
 TEST_F(DurabilityTest, SyncEveryIngestModeWorks) {

@@ -6,19 +6,22 @@
 // MergeFrom — including clamped magnitudes, sub-min-indexable values,
 // NaN/inf rejects, negatives, and collapse-inducing spreads.
 //
-// Bucket contents are compared exactly; sum() only up to floating-point
-// rounding, because the batch path reduces it with interleaved
-// accumulators (a different association order than sequential adds, which
-// is all MergeFrom ever promised for sums anyway).
+// Everything is compared exactly: bucket contents and counters, and
+// min/max/sum by bit pattern — AddBatch folds the sum in input order, so a
+// batch leaves the same bits as one Add per value, non-finite sums from
+// the clamp regime included.
 
 #include "core/ddsketch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -47,23 +50,19 @@ void ExpectIdentical(const DDSketch& fast, const DDSketch& ref,
   ASSERT_EQ(fast.rejected_count(), ref.rejected_count()) << where;
   ASSERT_EQ(fast.clamped_count(), ref.clamped_count()) << where;
   ASSERT_EQ(fast.num_buckets(), ref.num_buckets()) << where;
-  ASSERT_EQ(fast.min(), ref.min()) << where;
-  ASSERT_EQ(fast.max(), ref.max()) << where;
+  ASSERT_EQ(std::bit_cast<uint64_t>(fast.min()),
+            std::bit_cast<uint64_t>(ref.min()))
+      << where;
+  ASSERT_EQ(std::bit_cast<uint64_t>(fast.max()),
+            std::bit_cast<uint64_t>(ref.max()))
+      << where;
   ASSERT_EQ(Buckets(fast.positive_store()), Buckets(ref.positive_store()))
       << where;
   ASSERT_EQ(Buckets(fast.negative_store()), Buckets(ref.negative_store()))
       << where;
-  // Near-DBL_MAX inputs (the clamp regime) overflow the running sum in
-  // both paths; once either side has left the finite range the two
-  // reassociated reductions may land on different non-finite garbage, so
-  // only the finite case is comparable.
-  if (std::isfinite(fast.sum()) && std::isfinite(ref.sum())) {
-    const double tolerance =
-        1e-9 * std::max({1.0, std::abs(fast.sum()), std::abs(ref.sum())});
-    ASSERT_NEAR(fast.sum(), ref.sum(), tolerance) << where;
-  } else {
-    ASSERT_EQ(std::isfinite(fast.sum()), std::isfinite(ref.sum())) << where;
-  }
+  ASSERT_EQ(std::bit_cast<uint64_t>(fast.sum()),
+            std::bit_cast<uint64_t>(ref.sum()))
+      << where << " sums " << fast.sum() << " vs " << ref.sum();
   if (!fast.empty()) {
     for (double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0}) {
       // Identical buckets and extremes make the estimates bit-identical.
@@ -181,18 +180,34 @@ TEST(InsertDifferentialTest, InterleavedOpsMatchReferencePath) {
 TEST(InsertDifferentialTest, BatchEqualsScalarAdds) {
   // AddBatch against one-value-at-a-time Add on the same (fast) config:
   // catches batch-only bookkeeping drift independent of the reference
-  // path knob.
+  // path knob. Two streams: every regime, whose sum overflows into the
+  // non-finite range, and one without magnitudes above 1e7 (the clamp
+  // regime and the top of the wide sweep), whose sum stays finite and
+  // unswamped so that summation order shows in its low bits. Each is fed
+  // as batches of varying size: any split of a stream must leave the
+  // same bits.
   DDSketchConfig config;
   config.mapping = MappingType::kCubicInterpolated;
   config.max_num_buckets = 256;
-  DDSketch batched = MakeSketch(config, false);
-  DDSketch scalar = MakeSketch(config, false);
-  Rng rng(0xBA7C);
-  std::vector<double> values;
-  for (int i = 0; i < 20000; ++i) values.push_back(NextValue(rng));
-  batched.AddBatch(values);
-  for (double v : values) scalar.Add(v);
-  ExpectIdentical(batched, scalar, "batch-vs-scalar");
+  for (const bool finite_sum : {false, true}) {
+    DDSketch batched = MakeSketch(config, false);
+    DDSketch scalar = MakeSketch(config, false);
+    Rng rng(0xBA7C);
+    std::vector<double> values;
+    while (values.size() < 20000) {
+      const double v = NextValue(rng);
+      if (!finite_sum || !(std::abs(v) > 1e7)) values.push_back(v);
+    }
+    for (size_t i = 0; i < values.size();) {
+      const size_t n = std::min<size_t>(values.size() - i,
+                                        1 + rng.NextBounded(1100));
+      batched.AddBatch(std::span<const double>(values).subspan(i, n));
+      i += n;
+    }
+    for (double v : values) scalar.Add(v);
+    ASSERT_EQ(std::isfinite(scalar.sum()), finite_sum);
+    ExpectIdentical(batched, scalar, finite_sum ? "finite sum" : "all regimes");
+  }
 }
 
 }  // namespace
