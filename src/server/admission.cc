@@ -15,9 +15,9 @@ uint64_t Overflow(uint64_t staged, uint64_t floor) {
 }  // namespace
 
 TagAdmissionLedger::TagAdmissionLedger(
-    uint64_t total_budget, double floor_fraction,
+    uint64_t total_budget,
     const std::vector<std::pair<std::string, uint64_t>>& weights)
-    : total_budget_(total_budget), floor_fraction_(floor_fraction) {
+    : total_budget_(total_budget) {
   std::lock_guard<std::mutex> lock(mu_);
   RegisterTagLocked("default", 1);
   for (const auto& [tag, weight] : weights) {
@@ -76,7 +76,7 @@ void TagAdmissionLedger::ComputeFloorsLocked() {
   uint64_t weight_sum = 0;
   for (const Tag& tag : tags_) weight_sum += tag.weight;
   const double reserve =
-      static_cast<double>(total_budget_) * floor_fraction_;
+      static_cast<double>(total_budget_) * kFloorFraction;
   uint64_t floor_sum = 0;
   for (Tag& tag : tags_) {
     tag.floor = static_cast<uint64_t>(

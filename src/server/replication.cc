@@ -24,6 +24,9 @@ int64_t NowMs() {
       .count();
 }
 
+/// One QueueShipping step on one shard.
+enum class ShipStep { kQueued, kCaughtUp, kFailed };
+
 /// Lexicographic (epoch, offset) order: a later epoch supersedes any
 /// offset of an earlier one (the WAL was reset in between).
 bool PosLess(const std::pair<uint64_t, uint64_t>& a,
@@ -37,13 +40,13 @@ bool PosLess(const std::pair<uint64_t, uint64_t>& a,
 // ReplicationShipper
 // ---------------------------------------------------------------------------
 
-ReplicationShipper::ReplicationShipper(std::vector<ReplShard> shards,
+ReplicationShipper::ReplicationShipper(ShardedDurableStore* store,
                                        ReplicationShipperOptions options,
                                        std::function<void(uint64_t)> on_fence)
-    : shards_(std::move(shards)),
+    : store_(store),
       options_(std::move(options)),
       on_fence_(std::move(on_fence)),
-      parked_(shards_.size()) {}
+      parked_(store->num_shards()) {}
 
 ReplicationShipper::~ReplicationShipper() { Stop(); }
 
@@ -90,7 +93,7 @@ void ReplicationShipper::AddSubscriber(
       Subscriber sub;
       sub.fd = fd;
       sub.out = std::move(initial_out);
-      positions.resize(shards_.size(), {0, 0});
+      positions.resize(store_->num_shards(), {0, 0});
       // The follower's claimed durable positions are its ack baseline:
       // nothing at or below them is owed an ack.
       sub.sent = positions;
@@ -152,96 +155,103 @@ void ReplicationShipper::Wake() {
 }
 
 bool ReplicationShipper::QueueShipping(Subscriber* sub) {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    while (sub->out.size() - sub->out_off < options_.outbuf_bytes) {
-      std::lock_guard<std::mutex> store_lk(*shards_[k].store_mu);
-      const DurableSketchStore& store = *shards_[k].store;
-      const uint64_t cur_epoch = store.epoch();
-      const uint64_t cur_offset = store.wal_offset();
-      auto& sent = sub->sent[k];
-      // A subscriber sitting exactly at the end of the epoch this store
-      // last checkpointed away consumed that epoch in full: roll it to
-      // the new epoch's start and keep tailing. The follower's
-      // epoch-crossing path (ApplyReplicatedSegment at epoch+1,
-      // kWalHeaderBytes) folds its own state, so no snapshot transfer
-      // is needed. prior_epoch_end() is 0 — never matched — after a
-      // promotion or snapshot install: old-lineage positions must not
-      // be rolled forward (their bytes may be divergent).
-      if (sent.first + 1 == cur_epoch && sent.second >= kWalHeaderBytes &&
-          sent.second == store.prior_epoch_end()) {
-        sent = {cur_epoch, kWalHeaderBytes};
-      }
-      if (sent.first == cur_epoch && sent.second <= cur_offset) {
-        if (sent.second < kWalHeaderBytes) sent.second = kWalHeaderBytes;
-        if (sent.second >= cur_offset) break;  // caught up on this shard
-        auto chunk = store.ReadWalChunk(sent.second, options_.segment_bytes);
-        if (!chunk.ok()) return false;  // our own WAL unreadable: drop + let
-                                        // the follower resync elsewhere
-        if (chunk.value().empty()) break;
-        ReplFrame frame;
-        frame.tag = ReplFrame::Tag::kSegment;
-        frame.shard = k;
-        frame.epoch = cur_epoch;
-        frame.start_offset = sent.second;
-        frame.payload = std::move(chunk).value();
-        sent.second += frame.payload.size();
-        shipped_bytes_.fetch_add(frame.payload.size(),
-                                 std::memory_order_relaxed);
-        sub->out += EncodeReplFrame(frame);
-        continue;
-      }
-      // Position mismatch — the follower is fresh, ahead of us (a
-      // past-life primary), or behind a checkpoint that already
-      // truncated the bytes it needs. All three resync the same way a
-      // crashed store recovers: full snapshot, then tail the new WAL.
-      //
-      // The snapshot is the *live* state, so it already contains any
-      // current-epoch records; shipping it and then tailing the current
-      // epoch from its start would apply those records twice. Fold the
-      // epoch first (checkpoint, under the store_mu we hold) so the
-      // snapshot sits exactly on the new epoch's boundary and the tail
-      // starts from an empty log.
-      if (cur_offset > kWalHeaderBytes) {
-        DurableSketchStore& mut_store = *shards_[k].store;
-        if (!mut_store.CheckpointForReplication().ok()) {
-          return false;  // can't produce a consistent snapshot: drop the
-                         // subscriber, let it retry
+  for (size_t k = 0; k < store_->num_shards(); ++k) {
+    ShipStep step = ShipStep::kQueued;
+    while (step == ShipStep::kQueued &&
+           sub->out.size() - sub->out_off < options_.outbuf_bytes) {
+      // One segment or snapshot per hold of the shard's lock, so a
+      // lagging subscriber never stalls that shard's committer for
+      // more than one chunk read.
+      step = store_->WithShard(k, [&](DurableSketchStore& store) {
+        const uint64_t cur_epoch = store.epoch();
+        const uint64_t cur_offset = store.wal_offset();
+        auto& sent = sub->sent[k];
+        // A subscriber sitting exactly at the end of the epoch this store
+        // last checkpointed away consumed that epoch in full: roll it to
+        // the new epoch's start and keep tailing. The follower's
+        // epoch-crossing path (ApplyReplicatedSegment at epoch+1,
+        // kWalHeaderBytes) folds its own state, so no snapshot transfer
+        // is needed. prior_epoch_end() is 0 — never matched — after a
+        // promotion or snapshot install: old-lineage positions must not
+        // be rolled forward (their bytes may be divergent).
+        if (sent.first + 1 == cur_epoch && sent.second >= kWalHeaderBytes &&
+            sent.second == store.prior_epoch_end()) {
+          sent = {cur_epoch, kWalHeaderBytes};
         }
-      }
-      const uint64_t snap_epoch = store.epoch();  // re-read: the fold
-                                                  // bumped it
-      std::string image = store.EncodeReplicationSnapshot();
-      shipped_bytes_.fetch_add(image.size(), std::memory_order_relaxed);
-      snapshot_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (image.size() <= options_.snapshot_chunk_bytes) {
-        ReplFrame frame;
-        frame.tag = ReplFrame::Tag::kSnapshot;
-        frame.shard = k;
-        frame.epoch = snap_epoch;
-        frame.payload = std::move(image);
-        sub->out += EncodeReplFrame(frame);
-      } else {
-        // v6 chunked bootstrap: the image streams as ≤chunk-sized
-        // pieces closed by a terminating frame, so the per-frame cap
-        // never bounds how large a shard can grow and still be
-        // bootstrapped. The whole train is queued at once — the pump
-        // trickles `out` to the socket as the follower drains it.
-        for (size_t off = 0; off < image.size();
-             off += options_.snapshot_chunk_bytes) {
-          ReplFrame chunk;
-          chunk.tag = ReplFrame::Tag::kSnapshotChunk;
-          chunk.shard = k;
-          chunk.payload = image.substr(off, options_.snapshot_chunk_bytes);
-          sub->out += EncodeReplFrame(chunk);
+        if (sent.first == cur_epoch && sent.second <= cur_offset) {
+          if (sent.second < kWalHeaderBytes) sent.second = kWalHeaderBytes;
+          if (sent.second >= cur_offset) return ShipStep::kCaughtUp;
+          auto chunk =
+              store.ReadWalChunk(sent.second, options_.segment_bytes);
+          // Our own WAL unreadable: drop the subscriber and let it
+          // resync elsewhere.
+          if (!chunk.ok()) return ShipStep::kFailed;
+          if (chunk.value().empty()) return ShipStep::kCaughtUp;
+          ReplFrame frame;
+          frame.tag = ReplFrame::Tag::kSegment;
+          frame.shard = k;
+          frame.epoch = cur_epoch;
+          frame.start_offset = sent.second;
+          frame.payload = std::move(chunk).value();
+          sent.second += frame.payload.size();
+          shipped_bytes_.fetch_add(frame.payload.size(),
+                                   std::memory_order_relaxed);
+          sub->out += EncodeReplFrame(frame);
+          return ShipStep::kQueued;
         }
-        ReplFrame end;
-        end.tag = ReplFrame::Tag::kSnapshotEnd;
-        end.shard = k;
-        end.epoch = snap_epoch;
-        sub->out += EncodeReplFrame(end);
-      }
-      sent = {snap_epoch, kWalHeaderBytes};
+        // Position mismatch — the follower is fresh, ahead of us (a
+        // past-life primary), or behind a checkpoint that already
+        // truncated the bytes it needs. All three resync the same way a
+        // crashed store recovers: full snapshot, then tail the new WAL.
+        //
+        // The snapshot is the *live* state, so it already contains any
+        // current-epoch records; shipping it and then tailing the current
+        // epoch from its start would apply those records twice. Fold the
+        // epoch first (checkpoint, under the shard lock we hold) so the
+        // snapshot sits exactly on the new epoch's boundary and the tail
+        // starts from an empty log.
+        if (cur_offset > kWalHeaderBytes &&
+            !store.CheckpointForReplication().ok()) {
+          // No consistent snapshot: drop the subscriber, let it retry.
+          return ShipStep::kFailed;
+        }
+        const uint64_t snap_epoch = store.epoch();  // re-read: the fold
+                                                    // bumped it
+        std::string image = store.EncodeReplicationSnapshot();
+        shipped_bytes_.fetch_add(image.size(), std::memory_order_relaxed);
+        snapshot_frames_.fetch_add(1, std::memory_order_relaxed);
+        if (image.size() <= options_.snapshot_chunk_bytes) {
+          ReplFrame frame;
+          frame.tag = ReplFrame::Tag::kSnapshot;
+          frame.shard = k;
+          frame.epoch = snap_epoch;
+          frame.payload = std::move(image);
+          sub->out += EncodeReplFrame(frame);
+        } else {
+          // v6 chunked bootstrap: the image streams as ≤chunk-sized
+          // pieces closed by a terminating frame, so the per-frame cap
+          // never bounds how large a shard can grow and still be
+          // bootstrapped. The whole train is queued at once — the pump
+          // trickles `out` to the socket as the follower drains it.
+          for (size_t off = 0; off < image.size();
+               off += options_.snapshot_chunk_bytes) {
+            ReplFrame chunk;
+            chunk.tag = ReplFrame::Tag::kSnapshotChunk;
+            chunk.shard = k;
+            chunk.payload = image.substr(off, options_.snapshot_chunk_bytes);
+            sub->out += EncodeReplFrame(chunk);
+          }
+          ReplFrame end;
+          end.tag = ReplFrame::Tag::kSnapshotEnd;
+          end.shard = k;
+          end.epoch = snap_epoch;
+          sub->out += EncodeReplFrame(end);
+        }
+        sent = {snap_epoch, kWalHeaderBytes};
+        return ShipStep::kQueued;
+      });
     }
+    if (step == ShipStep::kFailed) return false;
   }
   return true;
 }
@@ -261,7 +271,7 @@ bool ReplicationShipper::ParseIncoming(Subscriber* sub,
     switch (frame.value().tag) {
       case ReplFrame::Tag::kAck: {
         const uint64_t k = frame.value().shard;
-        if (k >= shards_.size()) return false;
+        if (k >= store_->num_shards()) return false;
         const std::pair<uint64_t, uint64_t> pos{frame.value().epoch,
                                                 frame.value().offset};
         if (PosLess(sub->acked[k], pos)) sub->acked[k] = pos;
@@ -348,10 +358,7 @@ void ReplicationShipper::PumpLoop() {
           sub.last_heartbeat = now;
           ReplFrame hb;
           hb.tag = ReplFrame::Tag::kHeartbeat;
-          {
-            std::lock_guard<std::mutex> store_lk(*shards_[0].store_mu);
-            hb.token = shards_[0].store->fence_token();
-          }
+          hb.token = store_->FenceState().token;
           hb.positions = sub.sent;
           sub.out += EncodeReplFrame(hb);
         }
@@ -446,11 +453,11 @@ void ReplicationShipper::PumpLoop() {
 // ReplicationFollower
 // ---------------------------------------------------------------------------
 
-ReplicationFollower::ReplicationFollower(std::vector<ReplShard> shards,
+ReplicationFollower::ReplicationFollower(ShardedDurableStore* store,
                                          ReplicationFollowerOptions options)
-    : shards_(std::move(shards)),
+    : store_(store),
       options_(std::move(options)),
-      pending_snapshot_(shards_.size()) {}
+      pending_snapshot_(store->num_shards()) {}
 
 ReplicationFollower::~ReplicationFollower() { Stop(); }
 
@@ -567,12 +574,9 @@ void ReplicationFollower::RunSession() {
   // stream from there or ships snapshots where they no longer match.
   Request subscribe;
   subscribe.op = Request::Op::kSubscribe;
-  for (const ReplShard& shard : shards_) {
-    std::lock_guard<std::mutex> store_lk(*shard.store_mu);
-    subscribe.repl_token =
-        std::max(subscribe.repl_token, shard.store->fence_token());
-    subscribe.positions.emplace_back(shard.store->epoch(),
-                                     shard.store->wal_offset());
+  subscribe.repl_token = store_->FenceState().token;
+  for (const auto& shard : store_->Usage()) {
+    subscribe.positions.emplace_back(shard.epoch, shard.wal_offset);
   }
   status = conn.WriteFrame(EncodeRequest(subscribe));
   if (!status.ok()) {
@@ -595,21 +599,18 @@ void ReplicationFollower::RunSession() {
     fail_session();
     return;
   }
-  if (response.value().repl_shards != shards_.size()) {
+  if (response.value().repl_shards != store_->num_shards()) {
     {
       std::lock_guard<std::mutex> lk(status_mu_);
       incompatible_ = Status::Incompatible(
           "primary has " + std::to_string(response.value().repl_shards) +
-          " shards, this follower has " + std::to_string(shards_.size()) +
+          " shards, this follower has " + std::to_string(store_->num_shards()) +
           " (shard counts are pinned at directory creation)");
     }
     fail_session();
     return;
   }
-  for (const ReplShard& shard : shards_) {
-    std::lock_guard<std::mutex> store_lk(*shard.store_mu);
-    (void)shard.store->AdoptFenceToken(response.value().repl_token);
-  }
+  (void)store_->AdoptFenceToken(response.value().repl_token);
 
   connected_.store(true, std::memory_order_relaxed);
   // A previous session may have died mid-chunk-train; its partial image
@@ -629,7 +630,7 @@ Status ReplicationFollower::ApplyFrame(const ReplFrame& frame,
                                        FramedConn* conn) {
   switch (frame.tag) {
     case ReplFrame::Tag::kSnapshotChunk: {
-      if (frame.shard >= shards_.size()) {
+      if (frame.shard >= store_->num_shards()) {
         return Status::Corruption("replicated frame for unknown shard");
       }
       // Reassembly only — nothing durable happened yet, so no ack. The
@@ -640,36 +641,37 @@ Status ReplicationFollower::ApplyFrame(const ReplFrame& frame,
     case ReplFrame::Tag::kSnapshot:
     case ReplFrame::Tag::kSnapshotEnd:
     case ReplFrame::Tag::kSegment: {
-      if (frame.shard >= shards_.size()) {
+      if (frame.shard >= store_->num_shards()) {
         return Status::Corruption("replicated frame for unknown shard");
       }
-      const ReplShard& shard = shards_[frame.shard];
       uint64_t durable_offset = 0;
       uint64_t payload_bytes = frame.payload.size();
-      {
-        std::lock_guard<std::mutex> store_lk(*shard.store_mu);
-        if (frame.tag == ReplFrame::Tag::kSnapshot) {
-          DD_RETURN_IF_ERROR(shard.store->InstallReplicatedSnapshot(
-              frame.payload, frame.epoch));
-        } else if (frame.tag == ReplFrame::Tag::kSnapshotEnd) {
-          std::string image = std::move(pending_snapshot_[frame.shard]);
-          pending_snapshot_[frame.shard].clear();
-          if (image.empty()) {
-            return Status::Corruption(
-                "snapshot terminator without preceding chunks");
-          }
-          payload_bytes = image.size();
-          DD_RETURN_IF_ERROR(
-              shard.store->InstallReplicatedSnapshot(image, frame.epoch));
-        } else {
-          // OutOfRange = "segment does not extend my log": surfaces to
-          // the session loop, which reconnects; the re-SUBSCRIBE's
-          // positions make the primary ship a snapshot instead.
-          DD_RETURN_IF_ERROR(shard.store->ApplyReplicatedSegment(
-              frame.epoch, frame.start_offset, frame.payload));
-        }
-        durable_offset = shard.store->wal_offset();
-      }
+      DD_RETURN_IF_ERROR(store_->WithShard(
+          frame.shard, [&](DurableSketchStore& shard) -> Status {
+            if (frame.tag == ReplFrame::Tag::kSnapshot) {
+              DD_RETURN_IF_ERROR(
+                  shard.InstallReplicatedSnapshot(frame.payload, frame.epoch));
+            } else if (frame.tag == ReplFrame::Tag::kSnapshotEnd) {
+              std::string image = std::move(pending_snapshot_[frame.shard]);
+              pending_snapshot_[frame.shard].clear();
+              if (image.empty()) {
+                return Status::Corruption(
+                    "snapshot terminator without preceding chunks");
+              }
+              payload_bytes = image.size();
+              DD_RETURN_IF_ERROR(
+                  shard.InstallReplicatedSnapshot(image, frame.epoch));
+            } else {
+              // OutOfRange = "segment does not extend my log": surfaces
+              // to the session loop, which reconnects; the
+              // re-SUBSCRIBE's positions make the primary ship a
+              // snapshot instead.
+              DD_RETURN_IF_ERROR(shard.ApplyReplicatedSegment(
+                  frame.epoch, frame.start_offset, frame.payload));
+            }
+            durable_offset = shard.wal_offset();
+            return Status::OK();
+          }));
       applied_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
       ReplFrame ack;
       ack.tag = ReplFrame::Tag::kAck;
@@ -681,10 +683,7 @@ Status ReplicationFollower::ApplyFrame(const ReplFrame& frame,
     }
     case ReplFrame::Tag::kHeartbeat: {
       last_heartbeat_ms_.store(NowMs(), std::memory_order_relaxed);
-      for (const ReplShard& shard : shards_) {
-        std::lock_guard<std::mutex> store_lk(*shard.store_mu);
-        (void)shard.store->AdoptFenceToken(frame.token);
-      }
+      (void)store_->AdoptFenceToken(frame.token);
       return Status::OK();
     }
     default:

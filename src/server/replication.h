@@ -5,7 +5,7 @@
 //
 //  * ReplicationShipper (primary side) — a pump thread that owns every
 //    subscribed follower connection. It streams each shard's WAL bytes
-//    (read back from the log file under the shard's store lock, so the
+//    (read back from the log file under the shard's lock, so the
 //    disk is the buffer and a slow follower costs no memory), falls
 //    back to a full snapshot when a follower's position no longer
 //    matches the log (the PR 2 epoch handshake: a checkpoint reset the
@@ -26,15 +26,18 @@
 //  * ReplicationFollower (follower side) — one thread that connects to
 //    the primary, SUBSCRIBEs with its per-shard (epoch, offset) resume
 //    positions, and applies the streamed frames under the owning
-//    shard's store lock: segments append + fsync + merge, snapshots
+//    shard's lock: segments append + fsync + merge, snapshots
 //    atomically replace shard state. Every durable apply is ack'd
 //    upstream. On any error it reconnects and re-SUBSCRIBEs — resume is
 //    just the subscribe handshake again, so a follower restart mid-tail
 //    needs no special case.
 //
-// Lock order: a shipper/follower thread takes its own mutex before a
-// shard's store_mu; committers call SubmitCommitted with no shard locks
-// held, and parked completions run with no replication locks held.
+// Both halves reach the shards only through ShardedDurableStore, which
+// takes each shard's lock itself (WithShard for a multi-step ship or
+// apply). Lock order: a shipper/follower thread takes its own mutex
+// before a shard's lock; committers call SubmitCommitted with no shard
+// locks held, and parked completions run with no replication locks
+// held.
 
 #ifndef DDSKETCH_SERVER_REPLICATION_H_
 #define DDSKETCH_SERVER_REPLICATION_H_
@@ -53,18 +56,10 @@
 
 #include "server/net.h"
 #include "server/protocol.h"
-#include "timeseries/durable_store.h"
+#include "timeseries/sharded_store.h"
 #include "util/status.h"
 
 namespace dd {
-
-/// One shard as the replication threads see it: the store plus the
-/// mutex that serializes every access to it (SketchServer::Shard owns
-/// both; these are stable pointers into it).
-struct ReplShard {
-  std::mutex* store_mu = nullptr;
-  DurableSketchStore* store = nullptr;
-};
 
 struct ReplicationShipperOptions {
   /// Park a committed batch at most this long waiting for subscriber
@@ -90,7 +85,8 @@ class ReplicationShipper {
   /// `on_fence` is invoked (from the pump thread, no shipper locks
   /// held) when a subscriber announces a fencing token via a FENCE
   /// frame — the server must fence its store and refuse writes.
-  ReplicationShipper(std::vector<ReplShard> shards,
+  /// `store` must outlive the shipper.
+  ReplicationShipper(ShardedDurableStore* store,
                      ReplicationShipperOptions options,
                      std::function<void(uint64_t)> on_fence);
   ~ReplicationShipper();
@@ -177,7 +173,7 @@ class ReplicationShipper {
   void DropExpired(std::vector<std::function<void(bool)>>* out);
   void CloseSubscriberLocked(size_t index);
 
-  const std::vector<ReplShard> shards_;
+  ShardedDurableStore* const store_;
   const ReplicationShipperOptions options_;
   const std::function<void(uint64_t)> on_fence_;
 
@@ -213,7 +209,8 @@ struct ReplicationFollowerOptions {
 /// Follower side: tails a primary and applies its stream.
 class ReplicationFollower {
  public:
-  ReplicationFollower(std::vector<ReplShard> shards,
+  /// `store` must outlive the follower.
+  ReplicationFollower(ShardedDurableStore* store,
                       ReplicationFollowerOptions options);
   ~ReplicationFollower();
 
@@ -253,7 +250,7 @@ class ReplicationFollower {
   void RunSession();
   Status ApplyFrame(const ReplFrame& frame, FramedConn* conn);
 
-  const std::vector<ReplShard> shards_;
+  ShardedDurableStore* const store_;
   const ReplicationFollowerOptions options_;
 
   std::thread tailer_;

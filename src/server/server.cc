@@ -70,6 +70,14 @@ LatencyOp NonIngestLatencyOp(Request::Op op) {
   }
 }
 
+/// The minimum epoch across shards: the directory's conservative
+/// generation, reported by CHECKPOINT, COMPACT and STATS.
+uint64_t MinEpoch(const std::vector<ShardedDurableStore::ShardUsage>& usage) {
+  uint64_t epoch = usage[0].epoch;
+  for (const auto& shard : usage) epoch = std::min(epoch, shard.epoch);
+  return epoch;
+}
+
 }  // namespace
 
 /// One staged pipelined run of INGEST/MERGE requests from a single
@@ -698,10 +706,6 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
   if (options.max_conn_inflight == 0) {
     return Status::InvalidArgument("max_conn_inflight must be at least 1");
   }
-  if (options.tag_floor_fraction < 0.0 || options.tag_floor_fraction > 1.0 ||
-      !(options.tag_floor_fraction == options.tag_floor_fraction)) {
-    return Status::InvalidArgument("tag_floor_fraction must be in [0, 1]");
-  }
   if (options.tag_p99_target_us < 0) {
     return Status::InvalidArgument("tag_p99_target_us must be >= 0");
   }
@@ -756,27 +760,23 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
     DD_RETURN_IF_ERROR(server->loops_.back()->Init());
   }
   // Replication plumbing before any committer starts (committers route
-  // their completion handshakes through the shipper). ReplShard holds
-  // stable pointers: shards_ elements are unique_ptrs and the store
-  // lives behind the optional for the server's whole life.
-  std::vector<ReplShard> repl_shards;
-  repl_shards.reserve(server->shards_.size());
-  for (size_t k = 0; k < server->shards_.size(); ++k) {
-    repl_shards.push_back(
-        ReplShard{&server->shards_[k]->store_mu, &server->store_->shard(k)});
-  }
+  // their completion handshakes through the shipper). The store lives
+  // behind the optional for the server's whole life, so the pointer the
+  // replication threads hold stays valid until Stop() has joined them.
   ReplicationShipperOptions ship_options;
   ship_options.ack_timeout_ms = options.repl_ack_timeout_ms;
   ship_options.heartbeat_ms = options.repl_heartbeat_ms;
   ship_options.snapshot_chunk_bytes = options.repl_snapshot_chunk_bytes;
   server->shipper_ = std::make_unique<ReplicationShipper>(
-      repl_shards, ship_options,
+      &*server->store_, ship_options,
       [s = server.get()](uint64_t token) { s->FenceSelf(token); });
   server->shipper_->Start();
   server->role_follower_.store(
       options.durable.role == StoreRole::kFollower, std::memory_order_relaxed);
-  server->writes_fenced_.store(server->store_->WritesFenced(),
-                               std::memory_order_relaxed);
+  server->writes_fenced_.store(
+      options.durable.role == StoreRole::kFollower ||
+          server->store_->FenceState().fenced,
+      std::memory_order_relaxed);
   for (size_t k = 0; k < server->shards_.size(); ++k) {
     server->shards_[k]->committer =
         std::thread([s = server.get(), k] { s->CommitLoop(k); });
@@ -795,7 +795,7 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
     follow_options.host = options.follow_host;
     follow_options.port = options.follow_port;
     server->follower_ = std::make_unique<ReplicationFollower>(
-        std::move(repl_shards), follow_options);
+        &*server->store_, follow_options);
     server->follower_->Start();
   }
   return server;
@@ -805,13 +805,10 @@ SketchServer::SketchServer(SketchServerOptions options,
                            ShardedDurableStore store)
     : options_(std::move(options)), store_(std::move(store)) {
   ledger_ = std::make_unique<TagAdmissionLedger>(options_.staged_bytes_budget,
-                                                 options_.tag_floor_fraction,
                                                  options_.tag_weights);
-  const auto now = Clock::now();
   shards_.reserve(store_->num_shards());
   for (size_t k = 0; k < store_->num_shards(); ++k) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->checkpoint_deadline_base = now;
   }
 }
 
@@ -875,8 +872,7 @@ uint64_t SketchServer::batch_commits() const noexcept {
 uint64_t SketchServer::background_checkpoints() const noexcept {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->store_mu);
-    total += shard->background_checkpoints;
+    total += shard->background_checkpoints.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -889,10 +885,7 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
   // never staged, never acknowledged). The durable gate in the store
   // backstops this fast path if a fence races in after the check.
   if (writes_fenced_.load(std::memory_order_relaxed)) {
-    const Status refusal = Status::Fenced(
-        role_follower_.load(std::memory_order_relaxed)
-            ? "this server is a follower; writes must go to the primary"
-            : "writer fenced: a newer primary holds the fencing token");
+    const Status refusal = FencedRefusal("writes must go to the primary");
     for (size_t i = 0; i < n; ++i) {
       run->entries[i].run = run;
       run->entries[i].result = refusal;
@@ -995,10 +988,8 @@ Response SketchServer::HandleNonIngest(const Request& request) {
       // A series lives on exactly one shard (pinned hash, immutable
       // count), so the read locks only the owner — queries never
       // contend with the other shards' committers or checkpoints.
-      const size_t owner = store_->ShardOf(request.series);
-      std::lock_guard<std::mutex> lk(shards_[owner]->store_mu);
-      auto merged = store_->shard(owner).QueryRange(request.series,
-                                                    request.start, request.end);
+      auto merged =
+          store_->QueryRange(request.series, request.start, request.end);
       if (!merged.ok()) return fail(merged.status());
       response.values.reserve(request.quantiles.size());
       for (double q : request.quantiles) {
@@ -1010,99 +1001,71 @@ Response SketchServer::HandleNonIngest(const Request& request) {
     }
     case Request::Op::kCheckpoint: {
       if (writes_fenced_.load(std::memory_order_relaxed)) {
-        return fail(Status::Fenced(
-            role_follower_.load(std::memory_order_relaxed)
-                ? "this server is a follower; checkpoints run on the primary"
-                : "writer fenced: a newer primary holds the fencing token"));
+        return fail(FencedRefusal("checkpoints run on the primary"));
       }
-      // "Checkpoint all shards", one shard lock at a time so ingest on
-      // the others keeps flowing while each snapshot is written.
-      uint64_t min_epoch = 0;
-      for (size_t k = 0; k < shards_.size(); ++k) {
-        std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-        if (Status status = store_->shard(k).Checkpoint(); !status.ok()) {
-          return fail(status);
-        }
-        shards_[k]->checkpoint_deadline_base = Clock::now();
-        const uint64_t epoch = store_->shard(k).epoch();
-        min_epoch = k == 0 ? epoch : std::min(min_epoch, epoch);
+      if (Status status = store_->Checkpoint(); !status.ok()) {
+        return fail(status);
       }
-      response.epoch = min_epoch;
+      response.epoch = MinEpoch(store_->Usage());
       return response;
     }
     case Request::Op::kCompact: {
       if (writes_fenced_.load(std::memory_order_relaxed)) {
-        return fail(Status::Fenced(
-            role_follower_.load(std::memory_order_relaxed)
-                ? "this server is a follower; compaction runs on the primary"
-                : "writer fenced: a newer primary holds the fencing token"));
+        return fail(FencedRefusal("compaction runs on the primary"));
       }
-      // Like CHECKPOINT: every shard, one lock at a time. The explicit
-      // fold honours the caller's clock (clamped to the data horizon
-      // inside the store); the checkpoint that persists it also ages
-      // anything eligible by data time.
-      uint64_t folded = 0;
-      uint64_t min_epoch = 0;
-      for (size_t k = 0; k < shards_.size(); ++k) {
-        std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-        auto compacted = store_->shard(k).Compact(request.compact_now);
-        if (!compacted.ok()) return fail(compacted.status());
-        folded += compacted.value();
-        shards_[k]->checkpoint_deadline_base = Clock::now();
-        const uint64_t epoch = store_->shard(k).epoch();
-        min_epoch = k == 0 ? epoch : std::min(min_epoch, epoch);
-      }
-      response.compacted = folded;
-      response.epoch = min_epoch;
+      // The explicit fold honours the caller's clock (clamped to the
+      // data horizon inside the store); the checkpoint that persists it
+      // also ages anything eligible by data time.
+      auto compacted = store_->Compact(request.compact_now);
+      if (!compacted.ok()) return fail(compacted.status());
+      response.compacted = compacted.value();
+      response.epoch = MinEpoch(store_->Usage());
       return response;
     }
     case Request::Op::kStats: {
       StoreStats& stats = response.stats;
+      const std::vector<ShardedDurableStore::ShardUsage> usage =
+          store_->Usage();
+      stats.epoch = MinEpoch(usage);
+      // v5: the server's role is shard 0's (every shard shares it).
+      stats.role = usage[0].role == StoreRole::kFollower ? 1 : 0;
       stats.shards.reserve(shards_.size());
       for (size_t k = 0; k < shards_.size(); ++k) {
+        const ShardedDurableStore::ShardUsage& shard = usage[k];
         ShardStats row;
         row.shard = k;
-        {
-          std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-          const DurableSketchStore& shard_store = store_->shard(k);
-          row.num_series = shard_store.store().num_series();
-          row.wal_bytes = shard_store.wal_offset();
-          row.epoch = shard_store.epoch();
-          row.background_checkpoints = shards_[k]->background_checkpoints;
-          stats.num_intervals += shard_store.store().num_intervals();
-          stats.size_in_bytes += shard_store.store().size_in_bytes();
-          // v6: per-level ladder rows, summed across shards (all shards
-          // share one ladder — pinned by each shard's snapshot).
-          const std::vector<LevelUsage> levels = shard_store.LevelStats();
-          if (stats.levels.size() < levels.size()) {
-            stats.levels.resize(levels.size());
-          }
-          for (size_t i = 0; i < levels.size(); ++i) {
-            stats.levels[i].interval_seconds =
-                static_cast<uint64_t>(levels[i].interval_seconds);
-            stats.levels[i].retention_seconds =
-                static_cast<uint64_t>(levels[i].retention_seconds);
-            stats.levels[i].num_intervals += levels[i].num_intervals;
-            stats.levels[i].rollup_merges += levels[i].rollup_merges;
-            stats.levels[i].retained_bytes += levels[i].retained_bytes;
-          }
-          // v5: fencing state, aggregated conservatively (max token; one
-          // fenced shard fences the server).
-          stats.fence_token =
-              std::max(stats.fence_token, shard_store.fence_token());
-          if (shard_store.fenced()) stats.fenced = 1;
-          if (k == 0) {
-            stats.role =
-                shard_store.role() == StoreRole::kFollower ? 1 : 0;
-          }
-        }
+        row.num_series = shard.num_series;
+        row.wal_bytes = shard.wal_offset;
+        row.epoch = shard.epoch;
+        row.background_checkpoints =
+            shards_[k]->background_checkpoints.load(std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lk(shards_[k]->queue_mu);
           row.batch_commits = shards_[k]->batch_commits;
         }
+        stats.size_in_bytes += shard.size_in_bytes;
+        // v6: per-level ladder rows, summed across shards (all shards
+        // share one ladder — pinned by each shard's snapshot).
+        if (stats.levels.size() < shard.levels.size()) {
+          stats.levels.resize(shard.levels.size());
+        }
+        for (size_t i = 0; i < shard.levels.size(); ++i) {
+          const LevelUsage& level = shard.levels[i];
+          stats.levels[i].interval_seconds =
+              static_cast<uint64_t>(level.interval_seconds);
+          stats.levels[i].retention_seconds =
+              static_cast<uint64_t>(level.retention_seconds);
+          stats.levels[i].num_intervals += level.num_intervals;
+          stats.levels[i].rollup_merges += level.rollup_merges;
+          stats.levels[i].retained_bytes += level.retained_bytes;
+          stats.num_intervals += level.num_intervals;
+        }
+        // v5: fencing state, aggregated conservatively (max token; one
+        // fenced shard fences the server).
+        stats.fence_token = std::max(stats.fence_token, shard.fence_token);
+        if (shard.fenced) stats.fenced = 1;
         stats.num_series += row.num_series;
         stats.wal_offset += row.wal_bytes;
-        stats.epoch = k == 0 ? row.epoch : std::min(stats.epoch, row.epoch);
         stats.batch_commits += row.batch_commits;
         stats.background_checkpoints += row.background_checkpoints;
         stats.shards.push_back(row);
@@ -1323,10 +1286,11 @@ void SketchServer::CommitOneBatch(size_t shard_index,
       records.push_back(std::move(pending->record));
       if (pending->sketch) sketches.push_back(std::move(*pending->sketch));
     }
-    std::lock_guard<std::mutex> store_lk(shard.store_mu);
-    status = store_->shard(shard_index).IngestBatch(records, sketches);
-    offset = store_->shard(shard_index).wal_offset();
-    epoch = store_->shard(shard_index).epoch();
+    store_->WithShard(shard_index, [&](DurableSketchStore& shard_store) {
+      status = shard_store.IngestBatch(records, sketches);
+      offset = shard_store.wal_offset();
+      epoch = shard_store.epoch();
+    });
   }
 
   lk->lock();
@@ -1386,13 +1350,23 @@ void SketchServer::CheckpointLoop() {
       std::chrono::milliseconds(options_.checkpoint_interval_ms);
   // Poll cadence: fine-grained enough that a tiny test interval fires
   // promptly, coarse enough that an idle daemon costs nothing. Each poll
-  // is a few mutex-guarded integer reads per shard.
+  // is a few integer reads per shard under its lock.
   auto poll = std::chrono::milliseconds(50);
   if (options_.checkpoint_interval_ms > 0) {
     poll = std::min(
         poll, std::chrono::milliseconds(
                   std::max<int64_t>(1, options_.checkpoint_interval_ms / 2)));
   }
+  // Per-shard bookkeeping, owned by this thread alone.
+  struct AgeClock {
+    uint64_t epoch = 0;  // the epoch `base` was taken in (0: none yet)
+    TimePoint base;      // no record in the WAL is older than this
+    /// After a failed checkpoint the shard is skipped until here — a
+    /// snapshot write is expensive, so a persistently failing one must
+    /// not be retried every poll.
+    TimePoint backoff_until;
+  };
+  std::vector<AgeClock> clocks(shards_.size());
   std::unique_lock<std::mutex> lk(scheduler_mu_);
   for (;;) {
     scheduler_cv_.wait_for(lk, poll, [this] { return scheduler_stop_; });
@@ -1403,42 +1377,44 @@ void SketchServer::CheckpointLoop() {
     if (writes_fenced_.load(std::memory_order_relaxed)) continue;
     lk.unlock();
     for (size_t k = 0; k < shards_.size(); ++k) {
-      Shard& shard = *shards_[k];
-      std::lock_guard<std::mutex> store_lk(shard.store_mu);
-      DurableSketchStore& shard_store = store_->shard(k);
-      const bool dirty = shard_store.wal_offset() > kWalHeaderBytes;
-      if (!dirty) {
-        // Nothing to fold; keep pushing the age deadline forward so an
-        // idle shard never checkpoints and a newly-dirty one gets a full
-        // interval before the time trigger fires.
-        shard.checkpoint_deadline_base = Clock::now();
-        continue;
-      }
-      const bool size_due = options_.checkpoint_wal_bytes > 0 &&
-                            shard_store.wal_offset() - kWalHeaderBytes >=
-                                options_.checkpoint_wal_bytes;
-      const bool time_due =
-          options_.checkpoint_interval_ms > 0 &&
-          Clock::now() - shard.checkpoint_deadline_base >= interval;
-      if (!size_due && !time_due) continue;
-      if (Clock::now() < shard.checkpoint_backoff_until) continue;
-      // Holding only this shard's store_mu: its committer waits, every
-      // other shard keeps committing. A scheduler checkpoint failure is
-      // not fail-stop — the WAL is untouched by a failed snapshot
-      // write, so ingest stays safe — but a full snapshot attempt every
-      // poll against a broken disk would burn CPU/IO silently, so
-      // failures back off and reach the operator's log.
-      if (Status status = shard_store.Checkpoint(); status.ok()) {
-        ++shard.background_checkpoints;
+      AgeClock& clock = clocks[k];
+      // Holding only this shard's lock: its committer waits, every
+      // other shard keeps committing. nullopt: nothing was due.
+      const std::optional<Status> result = store_->WithShard(
+          k, [&](DurableSketchStore& shard_store) -> std::optional<Status> {
+            const TimePoint now = Clock::now();
+            const uint64_t wal_bytes =
+                shard_store.wal_offset() - kWalHeaderBytes;
+            if (wal_bytes == 0 || shard_store.epoch() != clock.epoch) {
+              // Clean, or checkpointed since the last poll (a client
+              // CHECKPOINT/COMPACT, a promotion): restart the age clock
+              // so a newly-dirty shard gets a full interval before the
+              // time trigger fires.
+              clock = {shard_store.epoch(), now, clock.backoff_until};
+            }
+            const bool size_due = options_.checkpoint_wal_bytes > 0 &&
+                                  wal_bytes >= options_.checkpoint_wal_bytes;
+            const bool time_due = options_.checkpoint_interval_ms > 0 &&
+                                  now - clock.base >= interval;
+            if ((!size_due && !time_due) || now < clock.backoff_until) {
+              return std::nullopt;
+            }
+            return shard_store.Checkpoint();
+          });
+      if (!result) continue;
+      // A scheduler checkpoint failure is not fail-stop — the WAL is
+      // untouched by a failed snapshot write, so ingest stays safe —
+      // but failures back off and reach the operator's log.
+      if (result->ok()) {
+        shards_[k]->background_checkpoints.fetch_add(
+            1, std::memory_order_relaxed);
       } else {
         std::fprintf(stderr,
                      "sketchd: background checkpoint of shard %zu failed "
                      "(will retry in 5s): %s\n",
-                     k, status.ToString().c_str());
-        shard.checkpoint_backoff_until =
-            Clock::now() + std::chrono::seconds(5);
+                     k, result->ToString().c_str());
+        clock.backoff_until = Clock::now() + std::chrono::seconds(5);
       }
-      shard.checkpoint_deadline_base = Clock::now();
     }
     lk.lock();
   }
@@ -1464,37 +1440,22 @@ Response SketchServer::PrepareSubscribe(const Request& request) {
         " resume positions for a " + std::to_string(shards_.size()) +
         "-shard primary"));
   }
-  uint64_t token = 0;
-  bool fenced = false;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-    DurableSketchStore& shard_store = store_->shard(k);
-    if (request.repl_token > shard_store.fence_token()) {
-      // The subscriber has seen a newer primary than us: we were
-      // deposed while we weren't looking. Self-fence before refusing.
-      (void)shard_store.Fence(request.repl_token);
-    }
-    token = std::max(token, shard_store.fence_token());
-    fenced = fenced || shard_store.fenced();
+  // A subscriber that has seen a newer primary than us means we were
+  // deposed while we weren't looking: self-fence before refusing. So
+  // does an existing fence, whichever path set it — anything parked
+  // awaiting subscriber acks must release as FENCED, not OK.
+  const ShardedDurableStore::Fencing fencing = store_->FenceState();
+  if (request.repl_token > fencing.token || fencing.fenced) {
+    FenceSelf(request.repl_token);
+    return fail(FencedRefusal("SUBSCRIBE to the primary"));
   }
-  if (fenced) {
-    writes_fenced_.store(true, std::memory_order_relaxed);
-    // Same reason as FenceSelf: anything parked awaiting subscriber
-    // acks must now release as FENCED, not OK.
-    if (shipper_) shipper_->Fence();
-    return fail(Status::Fenced(
-        "writer fenced: a newer primary holds the fencing token"));
-  }
-  response.repl_token = token;
+  response.repl_token = fencing.token;
   response.repl_shards = shards_.size();
   return response;
 }
 
 void SketchServer::FenceSelf(uint64_t observed_token) {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-    (void)store_->shard(k).Fence(observed_token);
-  }
+  (void)store_->Fence(observed_token);
   writes_fenced_.store(true, std::memory_order_relaxed);
   // Fence the shipper too, whichever path discovered the demotion:
   // batches parked for subscriber acks must release as FENCED, not OK —
@@ -1502,34 +1463,27 @@ void SketchServer::FenceSelf(uint64_t observed_token) {
   if (shipper_) shipper_->Fence();
 }
 
+Status SketchServer::FencedRefusal(const char* follower_hint) const {
+  return Status::Fenced(
+      role_follower_.load(std::memory_order_relaxed)
+          ? std::string("this server is a follower; ") + follower_hint
+          : "writer fenced: a newer primary holds the fencing token");
+}
+
 Result<uint64_t> SketchServer::Promote() {
   std::lock_guard<std::mutex> promote_lk(promote_mu_);
   // Stop applying the old primary's stream before flipping roles; the
   // socket is kept open so the new token can be sent up it afterwards.
   if (follower_) follower_->StopTail();
-  uint64_t max_token = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-    max_token = std::max(max_token, store_->shard(k).fence_token());
-  }
-  uint64_t new_token = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-    DurableSketchStore& shard_store = store_->shard(k);
-    // Equalize first so every shard lands on the same new token even if
-    // a crash left them divergent.
-    DD_RETURN_IF_ERROR(shard_store.AdoptFenceToken(max_token));
-    auto token = shard_store.Promote();
-    if (!token.ok()) return token.status();
-    new_token = token.value();
-  }
+  auto new_token = store_->Promote();
+  if (!new_token.ok()) return new_token.status();
   role_follower_.store(false, std::memory_order_relaxed);
   writes_fenced_.store(false, std::memory_order_relaxed);
   // Tell the deposed primary it lost the token. Best-effort: if it is
   // already dead this is a no-op, and its next life must rejoin as a
   // follower (docs/OPERATIONS.md runbook) — any replication handshake
   // it attempts with its stale token fences it then.
-  if (follower_) follower_->FenceUpstream(new_token);
+  if (follower_) follower_->FenceUpstream(new_token.value());
   return new_token;
 }
 

@@ -9,7 +9,7 @@
 //   per-shard staging queues (shard.queue_mu)
 //        │                         │
 //   committer thread 0   ...   committer thread N-1
-//        │  append batch → 1 fsync → merge (shard.store_mu)
+//        │  append batch → 1 fsync → merge (store.WithShard(k))
 //        │  then post run completions back to the owning event loop
 //        ▼                         ▼
 //   shard-0 store     ...     shard-(N-1) store
@@ -46,9 +46,10 @@
 // A client sees OK only after the shard batch holding its record is
 // durable. The background checkpoint scheduler is also unchanged.
 //
-// QUERY / CHECKPOINT / STATS run on the loop thread. QUERY locks only
-// the owning shard's store_mu; CHECKPOINT and STATS walk the shards
-// one store_mu at a time, in shard order.
+// QUERY / CHECKPOINT / STATS run on the loop thread and call the
+// store, which locks each shard it touches itself: QUERY only the
+// owning shard; CHECKPOINT, COMPACT and STATS every shard, one lock at
+// a time in shard order, so ingest on the others keeps flowing.
 //
 // Replication (protocol v5, server/replication.h): a SUBSCRIBE request
 // hands the connection from its event loop to the ReplicationShipper,
@@ -67,7 +68,6 @@
 #define DDSKETCH_SERVER_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,15 +118,13 @@ struct SketchServerOptions {
   /// queued, not yet durable) across all shards. Records arriving past
   /// the cap are refused with BUSY. 0 = unlimited. The cap is split
   /// into per-tag ledgers (v7): each tag's guaranteed floor is its
-  /// weighted slice of tag_floor_fraction × budget, the rest is a
-  /// shared pool any tag may borrow from.
+  /// weighted slice of TagAdmissionLedger::kFloorFraction × budget, the
+  /// rest is a shared pool any tag may borrow from.
   uint64_t staged_bytes_budget = 64u << 20;
   /// Pre-registered tag weights (from sketchd --tag-budget). Tags not
   /// listed here register on first SET_TAG with weight 1; "default"
   /// always exists.
   std::vector<std::pair<std::string, uint64_t>> tag_weights;
-  /// Fraction of the budget reserved as guaranteed per-tag floors.
-  double tag_floor_fraction = 0.5;
   /// Throttle controller: shrink a tag's borrowable share when its own
   /// ingest/merge ack p99 (microseconds) breaches this target.
   /// 0 disables the controller (floors still isolate tenants).
@@ -260,11 +258,10 @@ class SketchServer {
     IngestRun* run = nullptr;  // completion rendezvous
   };
 
-  /// Everything one shard's committer and scheduler state needs. The
-  /// shard's DurableSketchStore itself lives in store_ (same index).
+  /// One shard's staging queue and committer. The shard's
+  /// DurableSketchStore itself lives in store_ (same index), behind the
+  /// store's own per-shard lock.
   struct Shard {
-    std::mutex store_mu;  // serializes every access to this shard's store
-
     std::mutex queue_mu;
     std::condition_variable queue_cv;  // wakes this shard's committer
     std::deque<PendingIngest*> queue;
@@ -281,19 +278,14 @@ class SketchServer {
 
     std::thread committer;
 
-    /// Scheduler bookkeeping (guarded by store_mu, like the store).
-    std::chrono::steady_clock::time_point checkpoint_deadline_base;
-    /// After a failed background checkpoint the scheduler skips this
-    /// shard until here — a snapshot write is expensive, so a
-    /// persistently failing one must not be retried every poll.
-    std::chrono::steady_clock::time_point checkpoint_backoff_until{};
-    uint64_t background_checkpoints = 0;
+    /// Written by the checkpoint scheduler only; read by STATS.
+    std::atomic<uint64_t> background_checkpoints{0};
   };
 
   SketchServer(SketchServerOptions options, ShardedDurableStore store);
 
   /// Handles QUERY / CHECKPOINT / STATS on a loop thread (thread-safe:
-  /// takes only per-shard locks).
+  /// the store takes its per-shard locks itself).
   Response HandleNonIngest(const Request& request);
   /// Fills the v4 latency rows: merges every event loop's per-op
   /// latency sketches (ConcurrentDDSketch snapshots, safe concurrent
@@ -312,7 +304,8 @@ class SketchServer {
   /// loops. Called with the shard's queue_mu held; returns with it held.
   void CommitOneBatch(size_t shard_index, std::unique_lock<std::mutex>* lk);
   /// The background checkpoint scheduler: polls every shard's WAL size
-  /// and age against the configured triggers.
+  /// and age against the configured triggers. A shard's age clock
+  /// restarts whenever its epoch moves (any checkpoint, a promotion).
   void CheckpointLoop();
   /// Validates a SUBSCRIBE request (role, fencing token, position
   /// count) and builds its response; called on the loop thread before
@@ -322,6 +315,9 @@ class SketchServer {
   /// Sticky-fences every shard against `observed_token` and flips the
   /// fast-path flag (the shipper's on_fence callback).
   void FenceSelf(uint64_t observed_token);
+  /// The FENCED refusal of a client write on a follower or a fenced
+  /// ex-primary; `follower_hint` completes "this server is a follower; ".
+  Status FencedRefusal(const char* follower_hint) const;
   /// True when either background-checkpoint trigger is configured.
   bool SchedulerEnabled() const noexcept {
     return options_.checkpoint_wal_bytes > 0 ||

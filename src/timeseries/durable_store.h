@@ -253,14 +253,6 @@ class DurableSketchStore {
   /// The recovered/live in-memory state.
   const SketchStore& store() const noexcept { return store_; }
 
-  /// Per-level interval counts / rollup merges / retained bytes of the
-  /// live ladder (finest level first).
-  std::vector<LevelUsage> LevelStats() const { return store_.LevelStats(); }
-
-  /// Interval sketches folded or dropped by checkpoint-time rollup over
-  /// this store's lifetime (process-local, like batch counters).
-  uint64_t rollup_folded() const noexcept { return rollup_folded_; }
-
   /// Current WAL generation (advances by one per checkpoint).
   uint64_t epoch() const noexcept { return wal_.epoch(); }
 
@@ -329,7 +321,6 @@ class DurableSketchStore {
   uint64_t fence_token_ = 1;
   bool fenced_ = false;
   uint64_t prior_epoch_end_ = 0;
-  uint64_t rollup_folded_ = 0;
 };
 
 }  // namespace dd

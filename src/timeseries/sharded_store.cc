@@ -75,22 +75,22 @@ Result<ShardedDurableStore> ShardedDurableStore::Open(
     }
   }
 
-  std::vector<std::unique_ptr<DurableSketchStore>> shards;
+  std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(count);
   for (size_t k = 0; k < count; ++k) {
     const std::string shard_dir = flat ? data_dir : ShardSubdir(data_dir, k);
     auto shard = DurableSketchStore::Open(shard_dir, options.durable);
     if (!shard.ok()) return shard.status();
-    shards.push_back(
-        std::make_unique<DurableSketchStore>(std::move(shard).value()));
+    shards.push_back(std::make_unique<Shard>(std::move(shard).value()));
   }
   return ShardedDurableStore(std::move(shards));
 }
 
 std::vector<std::string> ShardedDurableStore::ListSeries() const {
   std::vector<std::string> all;
-  for (const auto& shard : shards_) {
-    std::vector<std::string> names = shard->ListSeries();
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    std::vector<std::string> names = WithShard(
+        k, [](const DurableSketchStore& shard) { return shard.ListSeries(); });
     all.insert(all.end(), std::make_move_iterator(names.begin()),
                std::make_move_iterator(names.end()));
   }
@@ -100,101 +100,108 @@ std::vector<std::string> ShardedDurableStore::ListSeries() const {
 }
 
 Status ShardedDurableStore::Checkpoint() {
-  for (auto& shard : shards_) {
-    DD_RETURN_IF_ERROR(shard->Checkpoint());
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    DD_RETURN_IF_ERROR(WithShard(
+        k, [](DurableSketchStore& shard) { return shard.Checkpoint(); }));
   }
   return Status::OK();
 }
 
 Result<size_t> ShardedDurableStore::Compact(int64_t now) {
   size_t total = 0;
-  for (auto& shard : shards_) {
-    auto compacted = shard->Compact(now);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    auto compacted = WithShard(
+        k, [now](DurableSketchStore& shard) { return shard.Compact(now); });
     if (!compacted.ok()) return compacted.status();
     total += compacted.value();
   }
   return total;
 }
 
-uint64_t ShardedDurableStore::FenceToken() const {
-  uint64_t token = 0;
-  for (const auto& shard : shards_) {
-    token = std::max(token, shard->fence_token());
+ShardedDurableStore::Fencing ShardedDurableStore::FenceState() const {
+  Fencing fencing;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    WithShard(k, [&fencing](const DurableSketchStore& shard) {
+      fencing.token = std::max(fencing.token, shard.fence_token());
+      fencing.fenced = fencing.fenced || shard.fenced();
+    });
   }
-  return token;
-}
-
-bool ShardedDurableStore::Fenced() const {
-  for (const auto& shard : shards_) {
-    if (shard->fenced()) return true;
-  }
-  return false;
+  return fencing;
 }
 
 Status ShardedDurableStore::Fence(uint64_t observed_token) {
-  for (auto& shard : shards_) {
-    DD_RETURN_IF_ERROR(shard->Fence(observed_token));
+  Status first;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    const Status status = WithShard(
+        k, [observed_token](DurableSketchStore& shard) {
+          return shard.Fence(observed_token);
+        });
+    if (first.ok()) first = status;
   }
-  return Status::OK();
+  return first;
 }
 
 Status ShardedDurableStore::AdoptFenceToken(uint64_t token) {
-  for (auto& shard : shards_) {
-    DD_RETURN_IF_ERROR(shard->AdoptFenceToken(token));
+  Status first;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    const Status status = WithShard(k, [token](DurableSketchStore& shard) {
+      return shard.AdoptFenceToken(token);
+    });
+    if (first.ok()) first = status;
   }
-  return Status::OK();
+  return first;
 }
 
 Result<uint64_t> ShardedDurableStore::Promote() {
   // Equalize first so every shard lands on the same new token even if
   // a crash left them divergent.
-  DD_RETURN_IF_ERROR(AdoptFenceToken(FenceToken()));
+  const uint64_t max_token = FenceState().token;
   uint64_t token = 0;
-  for (auto& shard : shards_) {
-    auto promoted = shard->Promote();
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    auto promoted = WithShard(
+        k, [max_token](DurableSketchStore& shard) -> Result<uint64_t> {
+          DD_RETURN_IF_ERROR(shard.AdoptFenceToken(max_token));
+          return shard.Promote();
+        });
     if (!promoted.ok()) return promoted.status();
     token = promoted.value();
   }
   return token;
 }
 
+std::vector<ShardedDurableStore::ShardUsage> ShardedDurableStore::Usage()
+    const {
+  std::vector<ShardUsage> usage;
+  usage.reserve(shards_.size());
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    usage.push_back(WithShard(k, [](const DurableSketchStore& shard) {
+      ShardUsage row;
+      row.num_series = shard.store().num_series();
+      row.size_in_bytes = shard.store().size_in_bytes();
+      row.wal_offset = shard.wal_offset();
+      row.epoch = shard.epoch();
+      row.fence_token = shard.fence_token();
+      row.fenced = shard.fenced();
+      row.role = shard.role();
+      row.levels = shard.store().LevelStats();
+      return row;
+    }));
+  }
+  return usage;
+}
+
 size_t ShardedDurableStore::TotalSeries() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->store().num_series();
+  for (const ShardUsage& shard : Usage()) total += shard.num_series;
   return total;
 }
 
 size_t ShardedDurableStore::TotalIntervals() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->store().num_intervals();
-  return total;
-}
-
-std::vector<LevelUsage> ShardedDurableStore::LevelStats() const {
-  std::vector<LevelUsage> total = shards_[0]->LevelStats();
-  for (size_t k = 1; k < shards_.size(); ++k) {
-    const std::vector<LevelUsage> stats = shards_[k]->LevelStats();
-    for (size_t i = 0; i < total.size() && i < stats.size(); ++i) {
-      total[i].num_intervals += stats[i].num_intervals;
-      total[i].rollup_merges += stats[i].rollup_merges;
-      total[i].retained_bytes += stats[i].retained_bytes;
-    }
+  for (const ShardUsage& shard : Usage()) {
+    for (const LevelUsage& level : shard.levels) total += level.num_intervals;
   }
   return total;
-}
-
-uint64_t ShardedDurableStore::TotalRollupFolded() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->rollup_folded();
-  return total;
-}
-
-uint64_t ShardedDurableStore::MinEpoch() const {
-  uint64_t min_epoch = shards_[0]->epoch();
-  for (const auto& shard : shards_) {
-    min_epoch = std::min(min_epoch, shard->epoch());
-  }
-  return min_epoch;
 }
 
 }  // namespace dd

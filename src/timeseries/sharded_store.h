@@ -19,23 +19,27 @@
 // count at creation; reopening with a different explicit count fails
 // with Incompatible (re-splitting would re-route series mid-history).
 //
-// Thread-safety contract (what the server relies on): distinct shards
-// are fully independent — concurrent calls are safe as long as no two
-// threads touch the same shard at the same time. Routing (ShardOf) and
-// record validation read only immutable state and are safe anywhere.
-// Per-series reads (QueryRange and friends) touch only the owning
-// shard; cross-shard operations (Checkpoint, Compact, ListSeries, the
-// aggregate counters) touch every shard and need the caller to hold
-// whatever per-shard locks it uses for ingest.
+// Thread-safety contract: the store is thread-safe. Each shard's state
+// is serialized by that shard's own lock, and every public method takes
+// the locks of the shards it touches itself, one at a time and in shard
+// order — never two at once — so ingest on one shard never waits for a
+// checkpoint, query or fence on another. Routing (ShardOf) and record
+// validation read only immutable state and take no lock. WithShard runs
+// a caller's multi-step critical section under one shard's lock; no
+// store method may be called inside its callback (the lock is not
+// recursive). The const shard(k) reads without a lock, for callers that
+// know no other thread is using the store.
 
 #ifndef DDSKETCH_TIMESERIES_SHARDED_STORE_H_
 #define DDSKETCH_TIMESERIES_SHARDED_STORE_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "timeseries/durable_store.h"
@@ -77,20 +81,39 @@ class ShardedDurableStore {
     return ShardForSeries(series, shards_.size());
   }
 
-  /// Direct access to one shard (the server's per-shard committers and
-  /// checkpoint scheduler operate on shards, not on this facade).
-  DurableSketchStore& shard(size_t k) { return *shards_[k]; }
-  const DurableSketchStore& shard(size_t k) const { return *shards_[k]; }
+  /// Runs `fn(shard)` under shard `k`'s lock and returns its result by
+  /// value (no reference into the shard outlives the lock): the one way
+  /// to run a multi-step critical section on a shard (a committer's
+  /// batch plus its offset reads, a scheduler's dirty check plus
+  /// checkpoint, a replication ship or apply). `fn` must not call back
+  /// into this store.
+  template <typename Fn>
+  auto WithShard(size_t k, Fn&& fn) {
+    std::lock_guard<std::mutex> lk(shards_[k]->mu);
+    return std::forward<Fn>(fn)(shards_[k]->store);
+  }
+  template <typename Fn>
+  auto WithShard(size_t k, Fn&& fn) const {
+    std::lock_guard<std::mutex> lk(shards_[k]->mu);
+    return std::forward<Fn>(fn)(std::as_const(shards_[k]->store));
+  }
 
-  // Routed single-record ingest (CLI and tests; the server batches
-  // per shard via shard(k).IngestBatch instead).
+  /// Unlocked read-only access to one shard (see the contract above).
+  const DurableSketchStore& shard(size_t k) const { return shards_[k]->store; }
+
+  // Routed single-record ingest (CLI and tests; the server batches per
+  // shard through WithShard instead).
   Status Ingest(const std::string& series, int64_t timestamp,
                 std::string_view payload) {
-    return shards_[ShardOf(series)]->Ingest(series, timestamp, payload);
+    return WithShard(ShardOf(series), [&](DurableSketchStore& shard) {
+      return shard.Ingest(series, timestamp, payload);
+    });
   }
   Status IngestValue(const std::string& series, int64_t timestamp,
                      double value) {
-    return shards_[ShardOf(series)]->IngestValue(series, timestamp, value);
+    return WithShard(ShardOf(series), [&](DurableSketchStore& shard) {
+      return shard.IngestValue(series, timestamp, value);
+    });
   }
 
   /// Validation reads only the (identical across shards) immutable store
@@ -98,7 +121,7 @@ class ShardedDurableStore {
   /// record's decoded payload (DurableSketchStore::ValidateRecord).
   Status ValidateRecord(const WalRecord& record,
                         std::optional<DDSketch>* decoded) const {
-    return shards_[0]->ValidateRecord(record, decoded);
+    return shards_[0]->store.ValidateRecord(record, decoded);
   }
 
   // Reads route to the owning shard: a series lives on exactly one
@@ -110,26 +133,29 @@ class ShardedDurableStore {
   // equal to a single-store run.
   Result<DDSketch> QueryRange(const std::string& series, int64_t start,
                               int64_t end) const {
-    return shards_[ShardOf(series)]->QueryRange(series, start, end);
+    return WithShard(ShardOf(series), [&](const DurableSketchStore& shard) {
+      return shard.QueryRange(series, start, end);
+    });
   }
   Result<double> QueryQuantile(const std::string& series, int64_t start,
                                int64_t end, double q) const {
-    return shards_[ShardOf(series)]->QueryQuantile(series, start, end, q);
+    return WithShard(ShardOf(series), [&](const DurableSketchStore& shard) {
+      return shard.QueryQuantile(series, start, end, q);
+    });
   }
   Result<std::vector<SeriesPoint>> QuerySeries(const std::string& series,
                                                int64_t start, int64_t end,
                                                double q,
                                                int64_t step_seconds) const {
-    return shards_[ShardOf(series)]->QuerySeries(series, start, end, q,
-                                                 step_seconds);
+    return WithShard(ShardOf(series), [&](const DurableSketchStore& shard) {
+      return shard.QuerySeries(series, start, end, q, step_seconds);
+    });
   }
 
   /// Sorted union of every shard's series names.
   std::vector<std::string> ListSeries() const;
 
-  /// Checkpoints every shard (snapshot + WAL reset each). The client
-  /// CHECKPOINT op maps to this; the background scheduler checkpoints
-  /// single shards via shard(k).Checkpoint() instead.
+  /// Checkpoints every shard (snapshot + WAL reset each).
   Status Checkpoint();
 
   /// Compacts + checkpoints every shard; returns the total number of
@@ -139,46 +165,58 @@ class ShardedDurableStore {
   // --- Replication + fencing (durable_store.h) ---
   // The fencing token is logically one per server, but each shard's LOCK
   // file is its durable home, so reads aggregate conservatively and
-  // writes apply to every shard. Cross-shard like Checkpoint: the caller
-  // holds whatever per-shard locks it uses for ingest.
+  // writes apply to every shard.
 
-  StoreRole role() const { return shards_[0]->role(); }
-  /// Max token across shards (they only diverge mid-crash).
-  uint64_t FenceToken() const;
-  /// True when any shard is fenced — one fenced shard fences the server.
-  bool Fenced() const;
-  bool WritesFenced() const { return shards_[0]->writes_fenced() || Fenced(); }
-  /// Sticky-fences every shard against `observed_token`.
+  struct Fencing {
+    /// Max token across shards (they only diverge mid-crash).
+    uint64_t token = 0;
+    /// Any shard sticky-fenced: one fenced shard fences the server.
+    bool fenced = false;
+  };
+  Fencing FenceState() const;
+  /// Sticky-fences every shard against `observed_token`. Every shard is
+  /// tried; returns the first error.
   Status Fence(uint64_t observed_token);
-  /// Adopts a larger token on every shard (follower tracking its primary).
+  /// Adopts a larger token on every shard (follower tracking its
+  /// primary). Every shard is tried; returns the first error.
   Status AdoptFenceToken(uint64_t token);
   /// Promotes every shard to primary at max-token + 1; returns the new
   /// (uniform) token.
   Result<uint64_t> Promote();
 
-  // Aggregates across shards (the CLI; the server aggregates per shard
-  // itself because it needs to interleave its per-shard locks).
+  /// One shard's state, read under its lock.
+  struct ShardUsage {
+    size_t num_series = 0;
+    size_t size_in_bytes = 0;
+    uint64_t wal_offset = 0;
+    uint64_t epoch = 0;
+    uint64_t fence_token = 0;
+    bool fenced = false;
+    StoreRole role = StoreRole::kPrimary;
+    /// Per-level ladder usage (finest level first; every shard carries
+    /// the same ladder, pinned by its snapshot).
+    std::vector<LevelUsage> levels;
+  };
+  /// A usage snapshot of every shard, in shard order (STATS, the
+  /// follower's resume positions).
+  std::vector<ShardUsage> Usage() const;
+
+  // Totals over Usage() (the CLI and tests).
   size_t TotalSeries() const;
   size_t TotalIntervals() const;
-  /// Per-level usage summed across shards (every shard carries the same
-  /// ladder — the geometry is pinned by each shard's snapshot).
-  std::vector<LevelUsage> LevelStats() const;
-  /// Total interval sketches folded by checkpoint-time rollup across
-  /// shards since open.
-  uint64_t TotalRollupFolded() const;
-  /// Minimum epoch across shards — the conservative "generation" of the
-  /// directory as a whole (every shard has checkpointed at least
-  /// min_epoch - 1 times).
-  uint64_t MinEpoch() const;
 
  private:
-  explicit ShardedDurableStore(
-      std::vector<std::unique_ptr<DurableSketchStore>> shards)
+  struct Shard {
+    explicit Shard(DurableSketchStore store_in) : store(std::move(store_in)) {}
+    std::mutex mu;  // serializes every access to `store`
+    DurableSketchStore store;
+  };
+
+  explicit ShardedDurableStore(std::vector<std::unique_ptr<Shard>> shards)
       : shards_(std::move(shards)) {}
 
-  // unique_ptr: DurableSketchStore is move-only and the server hands out
-  // stable references to shards while this vector lives in an optional.
-  std::vector<std::unique_ptr<DurableSketchStore>> shards_;
+  // unique_ptr: a mutex cannot move, and this store moves (Result).
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace dd

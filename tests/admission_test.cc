@@ -45,7 +45,7 @@ TEST(TagNameTest, ValidatesCharsetAndLength) {
 
 TEST(TagAdmissionLedgerTest, WeightedFloorsPartitionTheReserve) {
   // Reserve = 0.5 × 1000 = 500, split over default=1, gold=3, bronze=1.
-  TagAdmissionLedger ledger(1000, 0.5, {{"gold", 3}, {"bronze", 1}});
+  TagAdmissionLedger ledger(1000, {{"gold", 3}, {"bronze", 1}});
   const auto rows = ledger.Snapshot();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(FindTag(rows, "default").floor_bytes, 100u);
@@ -58,7 +58,7 @@ TEST(TagAdmissionLedgerTest, WeightedFloorsPartitionTheReserve) {
 }
 
 TEST(TagAdmissionLedgerTest, FloorSurvivesAnotherTagsFlood) {
-  TagAdmissionLedger ledger(1000, 0.5, {{"flood", 1}, {"honest", 1}});
+  TagAdmissionLedger ledger(1000, {{"flood", 1}, {"honest", 1}});
   const uint32_t flood = ledger.RegisterTag("flood").value();
   const uint32_t honest = ledger.RegisterTag("honest").value();
   const auto rows = ledger.Snapshot();
@@ -81,7 +81,7 @@ TEST(TagAdmissionLedgerTest, FloorSurvivesAnotherTagsFlood) {
 }
 
 TEST(TagAdmissionLedgerTest, ThrottledShareShrinksBorrowing) {
-  TagAdmissionLedger ledger(1000, 0.5, {{"noisy", 1}});
+  TagAdmissionLedger ledger(1000, {{"noisy", 1}});
   const uint32_t noisy = ledger.RegisterTag("noisy").value();
   const auto before = FindTag(ledger.Snapshot(), "noisy");
 
@@ -109,7 +109,7 @@ TEST(TagAdmissionLedgerTest, ThrottledShareShrinksBorrowing) {
 }
 
 TEST(TagAdmissionLedgerTest, RefusalChargesBusyAndHintsRetry) {
-  TagAdmissionLedger ledger(100, 0.5, {});
+  TagAdmissionLedger ledger(100, {});
   uint64_t hint = 0;
   EXPECT_FALSE(ledger.TryAdmit(TagAdmissionLedger::kDefaultTagId, 200, &hint));
   // Fresh ledger: no refill observed yet, so the hint is the fixed
@@ -122,7 +122,7 @@ TEST(TagAdmissionLedgerTest, RefusalChargesBusyAndHintsRetry) {
 }
 
 TEST(TagAdmissionLedgerTest, RetryHintTracksRefillRateWithinBounds) {
-  TagAdmissionLedger ledger(1000, 0.5, {});
+  TagAdmissionLedger ledger(1000, {});
   const uint32_t id = TagAdmissionLedger::kDefaultTagId;
   uint64_t hint = 0;
   ASSERT_TRUE(ledger.TryAdmit(id, 1000, &hint));
@@ -139,7 +139,7 @@ TEST(TagAdmissionLedgerTest, RetryHintTracksRefillRateWithinBounds) {
 }
 
 TEST(TagAdmissionLedgerTest, ZeroBudgetAdmitsEverythingButStillAccounts) {
-  TagAdmissionLedger ledger(0, 0.5, {{"t", 1}});
+  TagAdmissionLedger ledger(0, {{"t", 1}});
   const uint32_t t = ledger.RegisterTag("t").value();
   uint64_t hint = 0;
   EXPECT_TRUE(ledger.TryAdmit(t, 1 << 30, &hint));
@@ -151,7 +151,7 @@ TEST(TagAdmissionLedgerTest, ZeroBudgetAdmitsEverythingButStillAccounts) {
 }
 
 TEST(TagAdmissionLedgerTest, RefundClampsInsteadOfUnderflowing) {
-  TagAdmissionLedger ledger(1000, 0.5, {});
+  TagAdmissionLedger ledger(1000, {});
   const uint32_t id = TagAdmissionLedger::kDefaultTagId;
   ASSERT_TRUE(ledger.TryAdmit(id, 100, nullptr));
   ledger.Refund(id, 500);  // a bookkeeping bug must not mint budget
@@ -160,7 +160,7 @@ TEST(TagAdmissionLedgerTest, RefundClampsInsteadOfUnderflowing) {
 }
 
 TEST(TagAdmissionLedgerTest, LateRegistrationNeverDilutesConfiguredFloors) {
-  TagAdmissionLedger ledger(900, 0.5, {});
+  TagAdmissionLedger ledger(900, {});
   // Alone, default owns the whole 450-byte reserve.
   EXPECT_EQ(FindTag(ledger.Snapshot(), "default").floor_bytes, 450u);
   const uint32_t late = ledger.RegisterTag("latecomer").value();
@@ -181,7 +181,7 @@ TEST(TagAdmissionLedgerTest, LateRegistrationNeverDilutesConfiguredFloors) {
 }
 
 TEST(TagAdmissionLedgerTest, TagTableIsCapped) {
-  TagAdmissionLedger ledger(1000, 0.5, {});
+  TagAdmissionLedger ledger(1000, {});
   // Fill the table (default occupies slot 0), then one more must be
   // refused — unbounded SET_TAG registration is the memory-growth DoS
   // the cap exists to stop.
@@ -208,7 +208,7 @@ TEST(TagAdmissionLedgerPropertyTest, ConcurrentConservation) {
   constexpr uint64_t kBudget = 1 << 20;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
-  TagAdmissionLedger ledger(kBudget, 0.5,
+  TagAdmissionLedger ledger(kBudget,
                             {{"alpha", 3}, {"beta", 2}, {"gamma", 1}});
   std::vector<uint32_t> tag_ids = {
       TagAdmissionLedger::kDefaultTagId, ledger.RegisterTag("alpha").value(),

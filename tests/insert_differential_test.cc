@@ -127,53 +127,69 @@ std::vector<NamedConfig> Configs() {
 }
 
 TEST(InsertDifferentialTest, InterleavedOpsMatchReferencePath) {
-  for (const NamedConfig& named : Configs()) {
-    SCOPED_TRACE(named.name);
-    Rng rng(0xDD5C);
-    DDSketch fast = MakeSketch(named.config, /*reference=*/false);
-    DDSketch ref = MakeSketch(named.config, /*reference=*/true);
-    // A second pair fed in tandem, as the MergeFrom source.
-    DDSketch fast_other = MakeSketch(named.config, /*reference=*/false);
-    DDSketch ref_other = MakeSketch(named.config, /*reference=*/true);
-    std::vector<double> recent;  // removal candidates, clamped values included
-
-    for (int op = 0; op < 3000; ++op) {
-      const uint64_t kind = rng.NextBounded(100);
-      if (kind < 45) {
-        const double v = NextValue(rng);
-        const uint64_t n = 1 + rng.NextBounded(3);
-        fast.Add(v, n);
-        ref.Add(v, n);
-        if (recent.size() < 512) recent.push_back(v);
-      } else if (kind < 65) {
-        std::vector<double> batch;
-        const size_t n = 1 + rng.NextBounded(700);  // crosses chunk size
-        batch.reserve(n);
-        for (size_t i = 0; i < n; ++i) batch.push_back(NextValue(rng));
-        fast.AddBatch(batch);
-        ref.AddBatch(batch);
-        if (!batch.empty() && recent.size() < 512) {
-          recent.push_back(batch.front());
+  // Two passes: every regime, and one whose draws skip magnitudes above
+  // 1e7 so the sum stays finite and its bits can show summation order
+  // (a clamp-regime draw overflows both sums early, after which the sum
+  // comparison only sees two equal non-finite values).
+  for (const bool finite_sum : {false, true}) {
+    for (const NamedConfig& named : Configs()) {
+      SCOPED_TRACE(named.name);
+      SCOPED_TRACE(finite_sum ? "finite sum" : "all regimes");
+      Rng rng(0xDD5C);
+      auto next_value = [&rng, finite_sum] {
+        for (;;) {
+          const double v = NextValue(rng);
+          if (!finite_sum || !(std::abs(v) > 1e7)) return v;
         }
-      } else if (kind < 85) {
-        // Remove something previously added (often) or arbitrary (rarely):
-        // both sketches must agree on how much came out either way.
-        const double v = (!recent.empty() && rng.NextBounded(4) != 0)
-                             ? recent[rng.NextBounded(recent.size())]
-                             : NextValue(rng);
-        const uint64_t n = 1 + rng.NextBounded(2);
-        ASSERT_EQ(fast.Remove(v, n), ref.Remove(v, n)) << "op " << op;
-      } else if (kind < 95) {
-        const double v = NextValue(rng);
-        fast_other.Add(v);
-        ref_other.Add(v);
-      } else {
-        ASSERT_TRUE(fast.MergeFrom(fast_other).ok());
-        ASSERT_TRUE(ref.MergeFrom(ref_other).ok());
+      };
+      DDSketch fast = MakeSketch(named.config, /*reference=*/false);
+      DDSketch ref = MakeSketch(named.config, /*reference=*/true);
+      // A second pair fed in tandem, as the MergeFrom source.
+      DDSketch fast_other = MakeSketch(named.config, /*reference=*/false);
+      DDSketch ref_other = MakeSketch(named.config, /*reference=*/true);
+      std::vector<double> recent;  // removal candidates, clamped included
+
+      for (int op = 0; op < 3000; ++op) {
+        const uint64_t kind = rng.NextBounded(100);
+        if (kind < 45) {
+          const double v = next_value();
+          const uint64_t n = 1 + rng.NextBounded(3);
+          fast.Add(v, n);
+          ref.Add(v, n);
+          if (recent.size() < 512) recent.push_back(v);
+        } else if (kind < 65) {
+          std::vector<double> batch;
+          const size_t n = 1 + rng.NextBounded(700);  // crosses chunk size
+          batch.reserve(n);
+          for (size_t i = 0; i < n; ++i) batch.push_back(next_value());
+          fast.AddBatch(batch);
+          ref.AddBatch(batch);
+          if (!batch.empty() && recent.size() < 512) {
+            recent.push_back(batch.front());
+          }
+        } else if (kind < 85) {
+          // Remove something previously added (often) or arbitrary
+          // (rarely): both sketches must agree on how much came out.
+          const double v = (!recent.empty() && rng.NextBounded(4) != 0)
+                               ? recent[rng.NextBounded(recent.size())]
+                               : next_value();
+          const uint64_t n = 1 + rng.NextBounded(2);
+          ASSERT_EQ(fast.Remove(v, n), ref.Remove(v, n)) << "op " << op;
+        } else if (kind < 95) {
+          const double v = next_value();
+          fast_other.Add(v);
+          ref_other.Add(v);
+        } else {
+          ASSERT_TRUE(fast.MergeFrom(fast_other).ok());
+          ASSERT_TRUE(ref.MergeFrom(ref_other).ok());
+        }
+        if (op % 100 == 99) ExpectIdentical(fast, ref, "periodic");
       }
-      if (op % 100 == 99) ExpectIdentical(fast, ref, "periodic");
+      ExpectIdentical(fast, ref, "final");
+      if (finite_sum) {
+        ASSERT_TRUE(std::isfinite(ref.sum())) << ref.sum();
+      }
     }
-    ExpectIdentical(fast, ref, "final");
   }
 }
 

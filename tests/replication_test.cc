@@ -33,6 +33,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "timeseries/durable_store.h"
+#include "timeseries/sharded_store.h"
 #include "timeseries/sketch_store.h"
 #include "timeseries/snapshot.h"
 #include "util/status.h"
@@ -649,16 +650,14 @@ TEST_F(ReplicationTest, LateFollowerBootstrapsViaChunkedSnapshot) {
 
 TEST_F(ReplicationTest, ShipperFenceReleasesParkedAcksAsFenced) {
   const std::string dir = Dir("store");
-  auto store = DurableSketchStore::Open(dir, {});
+  auto store = ShardedDurableStore::Open(dir, {});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store.value().IngestValue("s", 0, 1.0).ok());
-  std::mutex store_mu;
 
   ReplicationShipperOptions options;
   options.ack_timeout_ms = 60000;  // far beyond the test: only Fence()
                                    // may release the parked batch
-  ReplicationShipper shipper({ReplShard{&store_mu, &store.value()}}, options,
-                             /*on_fence=*/nullptr);
+  ReplicationShipper shipper(&store.value(), options, /*on_fence=*/nullptr);
   shipper.Start();
 
   // A fake follower that subscribes and then never acks.
@@ -670,14 +669,8 @@ TEST_F(ReplicationTest, ShipperFenceReleasesParkedAcksAsFenced) {
 
   std::atomic<bool> released{false};
   std::atomic<bool> fenced{false};
-  uint64_t epoch = 0;
-  uint64_t offset = 0;
-  {
-    std::lock_guard<std::mutex> lk(store_mu);
-    epoch = store.value().epoch();
-    offset = store.value().wal_offset();
-  }
-  shipper.SubmitCommitted(0, epoch, offset, [&](bool f) {
+  const ShardedDurableStore::ShardUsage usage = store.value().Usage()[0];
+  shipper.SubmitCommitted(0, usage.epoch, usage.wal_offset, [&](bool f) {
     fenced.store(f);
     released.store(true);
   });
@@ -753,6 +746,29 @@ TEST_F(ReplicationTest, PromoteOnAPrimaryBumpsTheToken) {
   auto after = reopened_client.Stats();
   ASSERT_TRUE(after.ok());
   EXPECT_GE(after.value().fence_token, token.value());
+}
+
+// ---------------------------------------------------------------------------
+// The checkpoint scheduler never runs on a follower, and restarts a
+// shard's age clock when it sees the shard's epoch move. Promotion
+// checkpoints every shard, so the first write after it must wait a full
+// interval — not find a clock left stale from the follower's days and
+// checkpoint at once.
+
+TEST_F(ReplicationTest, PromotionRestartsTheCheckpointAgeClock) {
+  auto primary = MustStart(Dir("primary"));
+  SketchServerOptions options = FollowerOptions(primary->port());
+  options.checkpoint_interval_ms = 1000;
+  auto follower = MustStart(Dir("follower"), options);
+  AwaitSubscribers(primary->port(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+
+  SketchClient client = MustConnect(follower->port());
+  auto token = client.Promote();
+  ASSERT_TRUE(token.ok()) << token.status().ToString();
+  ASSERT_TRUE(client.IngestValue("after.promotion", 0, 1.0).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(follower->background_checkpoints(), 0u);
 }
 
 }  // namespace

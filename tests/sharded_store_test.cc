@@ -2,8 +2,10 @@
 // and manifest handling, stable series routing, byte-compatibility of
 // single-shard mode with legacy DurableSketchStore directories,
 // cross-shard query equivalence with an unsharded store, per-shard
-// checkpointing, and SIGKILL crash recovery of a 4-shard directory
-// against an unsharded reference (the mergeability claim, end to end).
+// checkpointing, committers racing every cross-shard operation (the
+// thread-safety contract), and SIGKILL crash recovery of a 4-shard
+// directory against an unsharded reference (the mergeability claim, end
+// to end).
 
 #include "timeseries/sharded_store.h"
 
@@ -15,16 +17,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ddsketch.h"
 #include "timeseries/durable_store.h"
+#include "timeseries/wal.h"
 #include "util/dir_layout.h"
 
 namespace dd {
@@ -211,14 +217,21 @@ TEST_F(ShardedStoreTest, PerShardCheckpointAdvancesOnlyThatShard) {
         store.IngestValue("series." + std::to_string(i), 0, 1.0 + i).ok());
   }
   for (size_t k = 0; k < 3; ++k) EXPECT_EQ(store.shard(k).epoch(), 1u);
-  ASSERT_TRUE(store.shard(1).Checkpoint().ok());
+  ASSERT_TRUE(store
+                  .WithShard(1, [](DurableSketchStore& shard) {
+                    return shard.Checkpoint();
+                  })
+                  .ok());
   EXPECT_EQ(store.shard(0).epoch(), 1u);
   EXPECT_EQ(store.shard(1).epoch(), 2u);
   EXPECT_EQ(store.shard(2).epoch(), 1u);
   // The facade-wide checkpoint catches every shard up.
   ASSERT_TRUE(store.Checkpoint().ok());
-  EXPECT_EQ(store.MinEpoch(), 2u);
-  EXPECT_EQ(store.shard(1).epoch(), 3u);
+  const std::vector<ShardedDurableStore::ShardUsage> usage = store.Usage();
+  ASSERT_EQ(usage.size(), 3u);
+  EXPECT_EQ(usage[0].epoch, 2u);
+  EXPECT_EQ(usage[1].epoch, 3u);
+  EXPECT_EQ(usage[2].epoch, 2u);
 }
 
 TEST_F(ShardedStoreTest, CompactRollsUpEveryShardAndPreservesAnswers) {
@@ -240,13 +253,114 @@ TEST_F(ShardedStoreTest, CompactRollsUpEveryShardAndPreservesAnswers) {
   auto compacted = store.Compact(/*now=*/100000);
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   EXPECT_GT(compacted.value(), 0u);
-  EXPECT_GT(store.TotalRollupFolded(), 0u);
+  uint64_t folded_into_coarse_levels = 0;
+  for (const auto& shard : store.Usage()) {
+    for (size_t i = 1; i < shard.levels.size(); ++i) {
+      folded_into_coarse_levels += shard.levels[i].rollup_merges;
+    }
+  }
+  EXPECT_GT(folded_into_coarse_levels, 0u);
   for (int s = 0; s < 6; ++s) {
     EXPECT_EQ(std::move(store.QueryQuantile("svc." + std::to_string(s), 0,
                                             7200, 0.9))
                   .value(),
               before[s])
         << "s=" << s;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The thread-safety contract: committers on distinct shards, each on the
+// locked path the server's committers take (WithShard + IngestBatch),
+// race a thread that runs every cross-shard operation. Every record must
+// be counted exactly once, live and after reopen, and the fencing state
+// must end uniform across shards.
+
+TEST_F(ShardedStoreTest, CommittersRaceCrossShardOperations) {
+  constexpr size_t kShards = 4;
+  constexpr int kBatches = 40;
+  constexpr int kBatchSize = 16;
+  constexpr uint64_t kPerSeries = kBatches * kBatchSize;
+  // One series per shard, so each committer owns its shard.
+  std::vector<std::string> series(kShards);
+  size_t found = 0;
+  for (int i = 0; found < kShards; ++i) {
+    const std::string name = "race." + std::to_string(i);
+    std::string& slot =
+        series[ShardedDurableStore::ShardForSeries(name, kShards)];
+    if (slot.empty()) {
+      slot = name;
+      ++found;
+    }
+  }
+  const std::string dir = Dir("race");
+  uint64_t final_token = 0;
+  {
+    ShardedDurableStore store = MustOpen(dir, kShards);
+    std::atomic<int> failures{0};
+    std::atomic<bool> committers_done{false};
+    std::vector<std::thread> committers;
+    for (size_t k = 0; k < kShards; ++k) {
+      committers.emplace_back([&, k] {
+        for (int b = 0; b < kBatches; ++b) {
+          std::vector<WalRecord> records(kBatchSize);
+          for (int i = 0; i < kBatchSize; ++i) {
+            records[i].type = WalRecord::Type::kIngestValue;
+            records[i].series = series[k];
+            // 10 s apart: the history outgrows the raw level's 1 h
+            // retention, so Compact has something to fold.
+            records[i].timestamp = (b * kBatchSize + i) * 10;
+            records[i].value = 1.0 + i;
+          }
+          const Status status =
+              store.WithShard(k, [&](DurableSketchStore& shard) {
+                return shard.IngestBatch(records);
+              });
+          if (!status.ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    int rounds = 0;
+    std::thread cross([&] {
+      uint64_t token = 100;
+      do {
+        if (!store.Checkpoint().ok()) failures.fetch_add(1);
+        if (!store.Compact(std::numeric_limits<int64_t>::max()).ok()) {
+          failures.fetch_add(1);
+        }
+        if (store.Usage().size() != kShards) failures.fetch_add(1);
+        if (!store.AdoptFenceToken(++token).ok()) failures.fetch_add(1);
+        auto promoted = store.Promote();
+        if (!promoted.ok()) {
+          failures.fetch_add(1);
+        } else {
+          token = promoted.value();
+        }
+        ++rounds;
+      } while (!committers_done.load());
+    });
+    for (std::thread& t : committers) t.join();
+    committers_done.store(true);
+    cross.join();
+    ASSERT_EQ(failures.load(), 0);
+    EXPECT_GE(rounds, 1);
+    for (const std::string& name : series) {
+      EXPECT_EQ(std::move(store.QueryRange(name, 0, 1 << 30)).value().count(),
+                kPerSeries)
+          << name;
+    }
+    final_token = store.FenceState().token;
+  }
+  ShardedDurableStore reopened = MustOpen(dir);
+  for (const std::string& name : series) {
+    EXPECT_EQ(std::move(reopened.QueryRange(name, 0, 1 << 30)).value().count(),
+              kPerSeries)
+        << name;
+  }
+  for (const ShardedDurableStore::ShardUsage& shard : reopened.Usage()) {
+    EXPECT_EQ(shard.fence_token, final_token);
+    EXPECT_FALSE(shard.fenced);
+    EXPECT_EQ(shard.role, StoreRole::kPrimary);
   }
 }
 
